@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from . import words
 from .atsp import PathSolution, cycle_cover_path, exact_max_path
 from .graph import Instance, build_matrices, min_cycle_cover, overlap_matrix
@@ -174,40 +176,29 @@ def greedy_superstring(inst: Instance) -> Solution:
     Ties pick the smallest (i, j) pair of carried indices; the merged string
     replaces both and keeps the smaller index.
     """
-    chains: dict[int, str] = {i: s for i, s in enumerate(inst.strings)}
-    ov_cache: dict[tuple[int, int], int] = {}
-
-    def ov(i, j):
-        key = (i, j)
-        if key not in ov_cache:
-            ov_cache[key] = words.overlap_len(chains[i], chains[j])
-        return ov_cache[key]
-
+    chains: dict[int, str] = dict(enumerate(inst.strings))
+    # ov[i, j] is the overlap of live chains i != j and -1 everywhere else,
+    # so the row-major first maximum is the tie-broken best pair.
+    ov = overlap_matrix(inst.strings).w
+    np.fill_diagonal(ov, -1)
     while len(chains) > 1:
-        keys = sorted(chains)
-        best = None
-        for i in keys:
-            for j in keys:
-                if i == j:
-                    continue
-                cand = (-ov(i, j), i, j)
-                if best is None or cand < best:
-                    best = cand
-        _, i, j = best
-        merged = words.prefix_part(chains[i], chains[j]) + chains[j]
+        i, j = divmod(int(ov.argmax()), len(inst))
+        merged = chains[i][:len(chains[i]) - int(ov[i, j])] + chains[j]
         keep, drop = min(i, j), max(i, j)
         del chains[drop]
         chains[keep] = merged
-        ov_cache = {k: v for k, v in ov_cache.items()
-                    if keep not in k and drop not in k}
+        ov[drop, :] = ov[:, drop] = -1
+        for k, c in chains.items():
+            if k != keep:
+                ov[keep, k] = words.overlap_len(merged, c)
+                ov[k, keep] = words.overlap_len(c, merged)
     (text,) = chains.values()
     return _solution(inst, _appearance_order(inst, text), text, "greedy")
 
 
 def exact_superstring(inst: Instance, limit: int = 16) -> Solution:
     """Optimal superstring via the exact max-path solver on the overlap graph."""
-    ov, _ = build_matrices(inst)
-    path = exact_max_path(ov, limit=limit)
+    path = exact_max_path(overlap_matrix(inst.strings), limit=limit)
     sol = merge_order(inst, path.order)
     return Solution(order=sol.order, text=sol.text, length=sol.length,
                     total_overlap=sol.total_overlap, algorithm="exact")

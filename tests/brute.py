@@ -80,6 +80,22 @@ def merge_in_order(strings, order):
     return text
 
 
+def greedy_text(strings):
+    """Classic greedy merging, recomputing every overlap each round: merge
+    the pair with the largest overlap, ties to the smallest (i, j); the
+    merged text keeps the smaller index."""
+    chains = dict(enumerate(strings))
+    while len(chains) > 1:
+        best = max((len(overlap(chains[i], chains[j])), -i, -j)
+                   for i in chains for j in chains if i != j)
+        k, i, j = best[0], -best[1], -best[2]
+        merged = chains[i][: len(chains[i]) - k] + chains[j]
+        del chains[max(i, j)]
+        chains[min(i, j)] = merged
+    (text,) = chains.values()
+    return text
+
+
 def exact_superstring_length(strings):
     """Minimum superstring length by trying every order."""
     return min(len(merge_in_order(strings, p))

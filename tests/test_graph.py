@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import brute
 from superstring.graph import (
@@ -16,8 +18,9 @@ from superstring.graph import (
     max_cycle_cover,
     min_cycle_cover,
     normalize,
+    overlap_matrix,
 )
-from superstring.words import is_primitive, rotations_equivalent
+from superstring.words import is_primitive, overlap_len, rotations_equivalent
 from superstring.pipeline import cycle_string
 
 
@@ -80,6 +83,49 @@ def test_prefix_overlap_duality_entrywise():
     ov, pref = build_matrices(strings)
     for i, s in enumerate(strings):
         assert all(int(ov.w[i, j] + pref.w[i, j]) == len(s) for j in range(3))
+
+
+TOP = chr(0x10FFFF)  # the last code point: no character sorts above it
+
+
+@st.composite
+def affix_families(draw):
+    """Unnormalized string lists: duplicates at different indices, single
+    letters, and strings that are prefixes or suffixes of others."""
+    alphabet = draw(st.sampled_from(["ab", "abc", "a" + TOP, TOP + "ab"]))
+    base = draw(st.lists(st.text(alphabet, min_size=1, max_size=8),
+                         min_size=1, max_size=6))
+    out = list(base)
+    for idx, how, k in draw(st.lists(
+            st.tuples(st.integers(0, len(base) - 1),
+                      st.sampled_from(["copy", "prefix", "suffix"]),
+                      st.integers(1, 8)), max_size=4)):
+        s = base[idx]
+        out.append({"copy": s, "prefix": s[:k], "suffix": s[-k:]}[how])
+    return draw(st.permutations(out))
+
+
+@given(affix_families())
+@settings(max_examples=300, deadline=None)
+def test_overlap_matrix_matches_brute_force(strings):
+    assert overlap_matrix(strings).w.tolist() == [
+        [len(brute.overlap(u, v)) for v in strings] for u in strings]
+
+
+def test_overlap_matrix_on_read_like_instance():
+    rng = random.Random(2024)
+    genome = "".join(rng.choice("ACGT") for _ in range(5000))
+    reads = []
+    for _ in range(200):
+        at = rng.randrange(len(genome) - 120)
+        reads.append(genome[at:at + rng.randint(80, 120)])
+    assert overlap_matrix(reads).w.tolist() == [
+        [overlap_len(u, v) for v in reads] for u in reads]
+
+
+def test_overlap_matrix_rejects_empty_string():
+    with pytest.raises(ValueError):
+        overlap_matrix(["ab", ""])
 
 
 # -------------------------------------------------------------- cycle covers

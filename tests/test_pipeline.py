@@ -172,6 +172,14 @@ def test_greedy_follows_the_chain_family():
     assert sol.order == tuple(range(len(inst) - 1, -1, -1))
 
 
+def test_greedy_matches_reference_merging():
+    rng = random.Random(31)
+    for alphabet in ("ab", "abc", "ACGT"):
+        for _ in range(40):
+            inst = random_instance(rng, max_n=8, max_len=12, alphabet=alphabet)
+            assert greedy_superstring(inst).text == brute.greedy_text(inst.strings)
+
+
 # --------------------------------------------------------------------- exact
 
 def test_exact_superstring_examples():
