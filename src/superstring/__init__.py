@@ -33,13 +33,10 @@ from .bounds import (
 )
 from .graph import (
     CycleCover,
-    CycleStats,
     DegenerateInstanceError,
     Instance,
-    MatrixKind,
     WeightMatrix,
     build_matrices,
-    cycle_stats,
     max_cycle_cover,
     min_cycle_cover,
     normalize,

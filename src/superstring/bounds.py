@@ -407,6 +407,7 @@ class CampaignResult:
     applicable_counts: dict = field(default_factory=dict)
     violations: list[dict] = field(default_factory=list)
     anomalies: list[str] = field(default_factory=list)
+    skipped: int = 0  # cycles left out of the checks as outside the theory
 
     @property
     def checks_failed(self) -> int:
@@ -425,22 +426,28 @@ class CampaignResult:
                 entry["context"] = context
                 self.violations.append(entry)
 
-    def to_jsonable(self) -> dict:
-        return {"name": self.name, "cases": self.cases,
-                "run": self.checks_run, "held": self.checks_held,
-                "failed": self.checks_failed,
-                "applicable": dict(sorted(self.applicable_counts.items())),
-                "violations": self.violations, "anomalies": self.anomalies}
+    def merge(self, other: CampaignResult) -> None:
+        """Add the counts, violations and notes of another chunk of the same
+        campaign; merging the chunks of a split trial range in order gives
+        the result of the unsplit range."""
+        self.cases += other.cases
+        self.checks_run += other.checks_run
+        self.checks_held += other.checks_held
+        for key, count in other.applicable_counts.items():
+            self.applicable_counts[key] = self.applicable_counts.get(key, 0) + count
+        self.violations.extend(other.violations)
+        self.anomalies.extend(other.anomalies)
+        self.skipped += other.skipped
 
 
 def _trial_rng(seed: int, index: int) -> random.Random:
     return random.Random(seed * 1_000_003 + index)
 
 
-def _random_pair(rng: random.Random, length_range, alphabet_size):
-    w1 = gen_random_nice(rng, length_range, alphabet_size)
+def _random_pair(rng: random.Random, alphabet_size):
+    w1 = gen_random_nice(rng, alphabet_size=alphabet_size)
     while True:
-        w2 = gen_random_nice(rng, length_range, alphabet_size)
+        w2 = gen_random_nice(rng, alphabet_size=alphabet_size)
         if not words.rotations_equivalent(w1.word, w2.word):
             break
     x1 = words.w_string_prefix(w1, rng.randint(len(w1.word), 4 * len(w1.word)))
@@ -465,8 +472,7 @@ def _structured_pair(rng: random.Random):
     return tuple(out)
 
 
-def pair_fuzz(trials: int, seed: int, length_range=(2, 24), *,
-              start: int = 0) -> CampaignResult:
+def pair_fuzz(trials: int, seed: int, *, start: int = 0) -> CampaignResult:
     """Random non-equivalent nice pairs, both directions, all pair checks.
 
     Two thirds of the trials draw independent random nice words; the rest
@@ -480,7 +486,7 @@ def pair_fuzz(trials: int, seed: int, length_range=(2, 24), *,
         if t % 3 == 2:
             a, b = _structured_pair(rng)
         else:
-            a, b = _random_pair(rng, length_range, rng.choice((2, 3)))
+            a, b = _random_pair(rng, rng.choice((2, 3)))
         ctx = f"trial={t}"
         result.absorb(check_pair_bounds(a, b), ctx)
         result.absorb(check_pair_bounds(b, a), ctx)
@@ -490,17 +496,16 @@ def pair_fuzz(trials: int, seed: int, length_range=(2, 24), *,
     return result
 
 
-def cycle_fuzz(trials: int, seed: int, length_range=(2, 16),
-               cycle_lengths=(2, 6), *, start: int = 0) -> CampaignResult:
+def cycle_fuzz(trials: int, seed: int, *, start: int = 0) -> CampaignResult:
     """Random cycle fixtures of 2..6 nodes, all cycle checks."""
     result = CampaignResult(name="cycles")
     for t in range(start, start + trials):
         rng = _trial_rng(seed, t)
-        k = rng.randint(*cycle_lengths)
+        k = rng.randint(2, 6)
         alphabet = rng.choice((2, 3))
         nodes = []
         while len(nodes) < k:
-            w = gen_random_nice(rng, length_range, alphabet)
+            w = gen_random_nice(rng, (2, 16), alphabet)
             if any(words.rotations_equivalent(w.word, u.word) for u, _ in nodes):
                 continue
             x = words.w_string_prefix(w, rng.randint(len(w.word), 4 * len(w.word)))
@@ -511,8 +516,7 @@ def cycle_fuzz(trials: int, seed: int, length_range=(2, 16),
     return result
 
 
-def pipeline_cycle_fuzz(trials: int, seed: int, n_range=(2, 8),
-                        length_range=(1, 12), *, start: int = 0) -> CampaignResult:
+def pipeline_cycle_fuzz(trials: int, seed: int, *, start: int = 0) -> CampaignResult:
     """Random instances run through the reduction; every cycle of the
     maximum-weight cover over the representatives gets the cycle checks.
 
@@ -520,11 +524,9 @@ def pipeline_cycle_fuzz(trials: int, seed: int, n_range=(2, 8),
     outside the theory and recorded as skipped cases, not violations.
     """
     result = CampaignResult(name="pipeline-cycles")
-    skipped = 0
     for t in range(start, start + trials):
         rng = _trial_rng(seed, t)
-        inst = gen_random_instance(rng, n_range, length_range,
-                                   alphabet_size=rng.choice((2, 3)))
+        inst = gen_random_instance(rng, alphabet_size=rng.choice((2, 3)))
         reps = representatives(inst)
         result.cases += 1
         if len(reps) < 2:
@@ -534,7 +536,7 @@ def pipeline_cycle_fuzz(trials: int, seed: int, n_range=(2, 8),
         for cyc in cover.cycles:
             chosen = [reps[i] for i in cyc]
             if any(r.nice.degenerate for r in chosen):
-                skipped += 1
+                result.skipped += 1
                 continue
             try:
                 fixture = CycleFixture(nodes=tuple((r.nice, r.text)
@@ -544,14 +546,13 @@ def pipeline_cycle_fuzz(trials: int, seed: int, n_range=(2, 8),
                 continue
             result.absorb(check_cycle_bounds(fixture),
                           f"trial={t} strings={inst.strings}")
-    if skipped:
-        result.anomalies.append(f"skipped {skipped} degenerate cycles")
     return result
 
 
-def tight_sweep(max_k: int = 64, max_n: int = 64) -> CampaignResult:
-    """Exactness sweep over both tight families: computed overlaps must match
-    the closed forms and the main-bound gap must be exactly 17 resp. 28."""
+def tight_sweep() -> CampaignResult:
+    """Exactness sweep over both tight families for parameters 1..64: computed
+    overlaps must match the closed forms and the main-bound gap must be
+    exactly 17 resp. 28."""
     result = CampaignResult(name="tight")
 
     def check_family(fixture, expect):
@@ -568,16 +569,17 @@ def tight_sweep(max_k: int = 64, max_n: int = 64) -> CampaignResult:
         ], ctx)
         result.cases += 1
 
-    for k in range(1, max_k + 1):
+    for k in range(1, 65):
         check_family(gen_tight_2cycle(k), expected_tight_2cycle(k))
-    for n in range(1, max_n + 1):
+    for n in range(1, 65):
         check_family(gen_tight_3cycle(n), expected_tight_3cycle(n))
     return result
 
 
-def greedy_chain_sweep(n: int = 40) -> CampaignResult:
-    """Exactness of the chain family's consecutive overlaps and its
-    overlap-to-period ratio."""
+def greedy_chain_sweep() -> CampaignResult:
+    """Exactness of the chain family's consecutive overlaps up to x_40 and
+    its overlap-to-period ratio."""
+    n = 40
     result = CampaignResult(name="greedy-chain")
     inst, expected = gen_greedy_path(n)
     xs = inst.strings  # xs[t] is x_{t+3}

@@ -207,20 +207,6 @@ def _campaign_chunk(task):
     return bounds.pipeline_cycle_fuzz(count, seed, start=start)
 
 
-def _merge_chunks(chunks):
-    merged = chunks[0]
-    for part in chunks[1:]:
-        merged.cases += part.cases
-        merged.checks_run += part.checks_run
-        merged.checks_held += part.checks_held
-        for key, count in part.applicable_counts.items():
-            merged.applicable_counts[key] = \
-                merged.applicable_counts.get(key, 0) + count
-        merged.violations.extend(part.violations)
-        merged.anomalies.extend(part.anomalies)
-    return merged
-
-
 def _run_fuzz(name: str, trials: int, seed: int, workers: int):
     if workers <= 1:
         return [_campaign_chunk((name, seed, 0, trials))]
@@ -228,7 +214,10 @@ def _run_fuzz(name: str, trials: int, seed: int, workers: int):
     tasks = [(name, seed, lo, min(step, trials - lo))
              for lo in range(0, trials, step)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [_merge_chunks(list(pool.map(_campaign_chunk, tasks)))]
+        merged, *rest = pool.map(_campaign_chunk, tasks)
+    for part in rest:
+        merged.merge(part)
+    return [merged]
 
 
 def cmd_verify(args, argv) -> int:
@@ -240,8 +229,8 @@ def cmd_verify(args, argv) -> int:
         campaigns += _run_fuzz("cycles", args.trials, args.seed, args.workers)
         campaigns += _run_fuzz("pipeline", args.trials, args.seed, args.workers)
     if args.suite in ("tight", "all"):
-        campaigns.append(bounds.tight_sweep(64, 64))
-        campaigns.append(bounds.greedy_chain_sweep(40))
+        campaigns.append(bounds.tight_sweep())
+        campaigns.append(bounds.greedy_chain_sweep())
     verification = {"run": 0, "held": 0, "failed": 0, "violations": []}
     for c in campaigns:
         verification["run"] += c.checks_run
@@ -250,6 +239,9 @@ def cmd_verify(args, argv) -> int:
         verification["violations"].extend(c.violations)
         for note in c.anomalies:
             print(f"note[{c.name}]: {note}", file=sys.stderr)
+        if c.skipped:
+            print(f"note[{c.name}]: skipped {c.skipped} degenerate cycles",
+                  file=sys.stderr)
         print(f"{c.name:<16} cases={c.cases:<7} checks={c.checks_run:<8} "
               f"failed={c.checks_failed}")
     report["verification"] = verification

@@ -27,10 +27,8 @@ edge (see atsp.cycle_cover_path).
 
 from __future__ import annotations
 
-import enum
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -40,17 +38,11 @@ _LOOP_BAN = 1 << 40  # dwarfs any realistic total weight
 _TOP_CHAR = chr(0x10FFFF)
 
 
-class MatrixKind(enum.Enum):
-    OVERLAP = "overlap"
-    PREFIX = "prefix"
-
-
 @dataclass(frozen=True)
 class Instance:
     """A normalized set of input strings: distinct and substring-free."""
 
     strings: tuple[str, ...]
-    provenance: tuple[str, ...] | None = None
 
     def __post_init__(self):
         ss = self.strings
@@ -112,7 +104,6 @@ def normalize(raw: Sequence[str]) -> tuple[Instance, list[tuple[str, str]]]:
 class WeightMatrix:
     n: int
     w: np.ndarray
-    kind: MatrixKind
 
     def __post_init__(self):
         if self.w.shape != (self.n, self.n):
@@ -152,12 +143,12 @@ def overlap_matrix(strings: Sequence[str]) -> WeightMatrix:
                 row[lo:n if nxt is None else bisect_left(keys, nxt, lo)] = k
     out = np.empty_like(w)
     out[:, order] = w
-    return WeightMatrix(n=n, w=out, kind=MatrixKind.OVERLAP)
+    return WeightMatrix(n=n, w=out)
 
 
 def prefix_matrix_from_overlap(strings: Sequence[str], ov: WeightMatrix) -> WeightMatrix:
     lengths = np.array([len(s) for s in strings], dtype=np.int64)
-    return WeightMatrix(n=ov.n, w=lengths[:, None] - ov.w, kind=MatrixKind.PREFIX)
+    return WeightMatrix(n=ov.n, w=lengths[:, None] - ov.w)
 
 
 def build_matrices(inst: Instance | Sequence[str]) -> tuple[WeightMatrix, WeightMatrix]:
@@ -225,37 +216,6 @@ def max_cycle_cover(m: WeightMatrix, allow_loops: bool = True) -> CycleCover:
     return _assignment_cover(m, maximize=True, allow_loops=allow_loops)
 
 
-@dataclass(frozen=True)
-class CycleStats:
-    """Per-cycle weight summary over an overlap matrix.
-
-    M: lightest edge weight, O: total edge weight, L: sum of the supplied
-    per-node period lengths, delta_O: (3/2)L - O in exact rationals.
-    """
-
-    nodes: tuple[int, ...]
-    M: int
-    O: int
-    L: int
-    delta_O: Fraction = field(compare=False)
-
-
 def cycle_edges(cycle: Sequence[int]) -> list[tuple[int, int]]:
     return [(cycle[t], cycle[(t + 1) % len(cycle)]) for t in range(len(cycle))]
 
-
-def cycle_stats(cover: CycleCover, m: WeightMatrix,
-                lengths: Sequence[int]) -> list[CycleStats]:
-    """M / O / L / delta_O for every cycle; ``lengths`` supplies the per-node
-    period metadata (it is not recomputed from the strings, since short
-    repetition prefixes can have accidentally smaller periods)."""
-    if len(lengths) != m.n:
-        raise ValueError("lengths must match matrix dimension")
-    out = []
-    for cyc in cover.cycles:
-        ws = [int(m.w[i, j]) for i, j in cycle_edges(cyc)]
-        total = sum(ws)
-        length = sum(lengths[i] for i in cyc)
-        out.append(CycleStats(nodes=cyc, M=min(ws), O=total, L=length,
-                              delta_O=Fraction(3, 2) * length - total))
-    return out

@@ -18,7 +18,7 @@ classic baselines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -141,8 +141,7 @@ def _appearance_order(inst: Instance, text: str) -> tuple[int, ...]:
     return tuple(i for _, i in sorted(pos))
 
 
-def solve_s1(inst: Instance, path_solver: PathSolver = exact_max_path,
-             algorithm: str | None = None) -> Solution:
+def solve_s1(inst: Instance, path_solver: PathSolver = exact_max_path) -> Solution:
     """Cycle-cover reduction followed by a max-path solve over representatives."""
     reps = representatives(inst)
     if len(reps) == 1:
@@ -150,14 +149,13 @@ def solve_s1(inst: Instance, path_solver: PathSolver = exact_max_path,
     else:
         path = path_solver(overlap_matrix([r.text for r in reps]))
         text = _merge_texts([reps[i].text for i in path.order])
-    if algorithm is None:
-        algorithm = f"s1[{getattr(path_solver, '__name__', 'custom')}]"
+    algorithm = f"s1[{getattr(path_solver, '__name__', 'custom')}]"
     return _solution(inst, _appearance_order(inst, text), text, algorithm)
 
 
 def solve_s2(inst: Instance) -> Solution:
     """Same reduction, with the drop-lightest-cycle-edge path construction."""
-    return solve_s1(inst, path_solver=cycle_cover_path, algorithm="s2")
+    return replace(solve_s1(inst, cycle_cover_path), algorithm="s2")
 
 
 def solve_combined(inst: Instance, path_solver: PathSolver = exact_max_path) -> Solution:
@@ -165,9 +163,7 @@ def solve_combined(inst: Instance, path_solver: PathSolver = exact_max_path) -> 
     s1 = solve_s1(inst, path_solver)
     s2 = solve_s2(inst)
     winner = s1 if s1.length <= s2.length else s2
-    return Solution(order=winner.order, text=winner.text, length=winner.length,
-                    total_overlap=winner.total_overlap,
-                    algorithm=f"combined({winner.algorithm})")
+    return replace(winner, algorithm=f"combined({winner.algorithm})")
 
 
 def greedy_superstring(inst: Instance) -> Solution:
@@ -199,9 +195,7 @@ def greedy_superstring(inst: Instance) -> Solution:
 def exact_superstring(inst: Instance, limit: int = 16) -> Solution:
     """Optimal superstring via the exact max-path solver on the overlap graph."""
     path = exact_max_path(overlap_matrix(inst.strings), limit=limit)
-    sol = merge_order(inst, path.order)
-    return Solution(order=sol.order, text=sol.text, length=sol.length,
-                    total_overlap=sol.total_overlap, algorithm="exact")
+    return replace(merge_order(inst, path.order), algorithm="exact")
 
 
 def validate_superstring(inst: Instance, text: str) -> bool:

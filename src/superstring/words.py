@@ -103,47 +103,38 @@ def is_primitive(w: str) -> bool:
 
 
 def _least_shift(keys: list[int]) -> int:
-    """Booth's algorithm: 0-based start of the least rotation of ``keys``."""
+    """0-based start of the least rotation of ``keys``, the earliest on ties.
+
+    Duval's Lyndon factorization (J. Algorithms 1983) over ``keys`` twice.
+    Each outer step scans one run of equal Lyndon factors starting at ``i``
+    and moves ``i`` past the run; the least rotation starts at the last run
+    start below ``n``.  Starting at a run's first factor rather than a later
+    equal one gives the earliest index when ``keys`` is periodic.
+    """
     n = len(keys)
     s = keys + keys
-    f = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        c = s[j]
-        i = f[j - k - 1]
-        while i != -1 and c != s[k + i + 1]:
-            if c < s[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if c != s[k + i + 1]:
-            if c < s[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    return k % n
-
-
-def _canonical_shift(w: str, shift: int) -> int:
-    # Equal rotations repeat with the minimal period; report the earliest one.
-    p = min_period(w)
-    if p < len(w) and len(w) % p == 0:
-        return shift % p
-    return shift
+    i = start = 0
+    while i < n:
+        start = i
+        k, j = i, i + 1
+        while j < 2 * n and s[k] <= s[j]:
+            k = i if s[k] < s[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return start
 
 
 def minimal_rotation_index(w: str) -> int:
     """1-based start of the lexicographically smallest rotation (smallest index on ties)."""
     _require_nonempty(w)
-    shift = _least_shift([ord(c) for c in w])
-    return _canonical_shift(w, shift) + 1
+    return _least_shift([ord(c) for c in w]) + 1
 
 
 def maximal_rotation_index(w: str) -> int:
     """1-based start of the lexicographically largest rotation (smallest index on ties)."""
     _require_nonempty(w)
-    shift = _least_shift([-ord(c) for c in w])
-    return _canonical_shift(w, shift) + 1
+    return _least_shift([-ord(c) for c in w]) + 1
 
 
 def rotate(w: str, shift: int) -> str:

@@ -13,12 +13,12 @@ from superstring.atsp import (
     exact_max_path,
     greedy_max_path,
 )
-from superstring.graph import MatrixKind, WeightMatrix, build_matrices
+from superstring.graph import WeightMatrix, build_matrices
 
 
 def matrix(rows):
     arr = np.array(rows, dtype=np.int64)
-    return WeightMatrix(n=arr.shape[0], w=arr, kind=MatrixKind.OVERLAP)
+    return WeightMatrix(n=arr.shape[0], w=arr)
 
 
 small_matrices = st.integers(min_value=2, max_value=6).flatmap(

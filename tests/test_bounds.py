@@ -186,7 +186,7 @@ def test_tight_3cycle_matches_closed_forms_small_n():
 
 
 def test_tight_sweep_full_range():
-    result = tight_sweep(64, 64)
+    result = tight_sweep()
     assert result.cases == 128
     assert result.checks_failed == 0
 
@@ -223,7 +223,7 @@ def test_greedy_path_strings_are_repetition_prefixes():
 
 
 def test_greedy_chain_ratio_at_40():
-    result = greedy_chain_sweep(40)
+    result = greedy_chain_sweep()
     assert result.checks_failed == 0
 
 

@@ -154,6 +154,21 @@ def test_verify_workers_match_sequential(tmp_path, capsys):
     assert a == b
 
 
+def test_verify_cycles_output_independent_of_workers(tmp_path, capsys):
+    # the pipeline campaign skips degenerate cycles in several chunks here
+    base = ["verify", "--suite", "cycles", "--trials", "60", "--seed", "0"]
+    runs = []
+    for workers in ("1", "2"):
+        out = str(tmp_path / f"w{workers}.json")
+        assert cli.main(base + ["--workers", workers, "--json", out]) == 0
+        report = scrub(load_json(out))
+        report.pop("command")  # argv legitimately differs here
+        runs.append((capsys.readouterr(), report))
+    (cap1, report1), (cap2, report2) = runs
+    assert "skipped" in cap1.err
+    assert (cap1.out, cap1.err, report1) == (cap2.out, cap2.err, report2)
+
+
 # ----------------------------------------------------------------------- gen
 
 def test_gen_tight2_roundtrip(tmp_path, capsys):

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,13 +7,10 @@ from hypothesis import strategies as st
 
 import brute
 from superstring.graph import (
-    CycleCover,
     DegenerateInstanceError,
     Instance,
-    MatrixKind,
     WeightMatrix,
     build_matrices,
-    cycle_stats,
     max_cycle_cover,
     min_cycle_cover,
     normalize,
@@ -24,9 +20,9 @@ from superstring.words import is_primitive, overlap_len, rotations_equivalent
 from superstring.pipeline import cycle_string
 
 
-def matrix(rows, kind=MatrixKind.PREFIX):
+def matrix(rows):
     arr = np.array(rows, dtype=np.int64)
-    return WeightMatrix(n=arr.shape[0], w=arr, kind=kind)
+    return WeightMatrix(n=arr.shape[0], w=arr)
 
 
 # ----------------------------------------------------------------- normalize
@@ -153,7 +149,7 @@ def test_min_cover_three_shifted_strings_matches_enumeration():
 
 
 def test_max_cover_all_zero_ties_to_identity():
-    cover = max_cycle_cover(matrix([[0] * 3] * 3, MatrixKind.OVERLAP))
+    cover = max_cycle_cover(matrix([[0] * 3] * 3))
     assert cover.perm == (0, 1, 2)
     assert cover.total_weight == 0
 
@@ -188,7 +184,7 @@ def test_covers_match_enumeration_up_to_n7():
 
 
 def test_max_cover_loopless_never_uses_diagonal():
-    m = matrix([[50, 1, 0], [0, 50, 1], [1, 0, 50]], MatrixKind.OVERLAP)
+    m = matrix([[50, 1, 0], [0, 50, 1], [1, 0, 50]])
     cover = max_cycle_cover(m, allow_loops=False)
     assert all(cover.perm[i] != i for i in range(3))
     assert cover.total_weight == 3
@@ -201,30 +197,7 @@ def test_cover_determinism():
     assert len(covers) == 1
 
 
-# --------------------------------------------------------------- cycle stats
-
-def test_cycle_stats_basic():
-    m = matrix([[0, 5], [3, 0]], MatrixKind.OVERLAP)
-    cover = CycleCover(perm=(1, 0), cycles=((0, 1),), total_weight=8)
-    (stats,) = cycle_stats(cover, m, lengths=[4, 2])
-    assert (stats.M, stats.O, stats.L) == (3, 8, 6)
-    assert stats.delta_O == Fraction(3, 2) * 6 - 8 == 1
-
-
-def test_cycle_stats_self_loop():
-    m = matrix([[0]], MatrixKind.OVERLAP)
-    cover = CycleCover(perm=(0,), cycles=((0,),), total_weight=0)
-    (stats,) = cycle_stats(cover, m, lengths=[5])
-    assert (stats.M, stats.O) == (0, 0)
-    assert stats.delta_O == Fraction(15, 2)
-
-
-def test_cycle_stats_dimension_mismatch():
-    m = matrix([[0]], MatrixKind.OVERLAP)
-    cover = CycleCover(perm=(0,), cycles=((0,),), total_weight=0)
-    with pytest.raises(ValueError):
-        cycle_stats(cover, m, lengths=[1, 2])
-
+# ------------------------------------------------- covers of the tight families
 
 def test_cycle_stats_on_tight_families():
     from superstring.bounds import gen_tight_2cycle, gen_tight_3cycle
@@ -234,16 +207,11 @@ def test_cycle_stats_on_tight_families():
     cover = max_cycle_cover(ov)
     assert cover.cycles == ((0, 1),)
     assert cover.total_weight == 16
-    (stats,) = cycle_stats(cover, ov, lengths=[len(w.word) for w, _ in f.nodes])
-    assert (stats.M, stats.O, stats.L) == (7, 16, 13)
 
     f3 = gen_tight_3cycle(1)
     ov3 = build_matrices([x for _, x in f3.nodes])[0]
     cover3 = max_cycle_cover(ov3, allow_loops=False)
     assert cover3.cycles == ((0, 1, 2),)
-    (stats3,) = cycle_stats(cover3, ov3,
-                            lengths=[len(w.word) for w, _ in f3.nodes])
-    assert (stats3.M, stats3.O, stats3.L) == (12, 46, 34)
 
 
 def test_max_cover_two_strings():

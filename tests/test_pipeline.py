@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -233,3 +234,12 @@ def test_solvers_with_alternative_path_backends():
     for solver in (exact_max_path, cycle_cover_path, greedy_max_path):
         sol = solve_s1(inst, path_solver=solver)
         assert validate_superstring(inst, sol.text)
+
+
+def test_readme_quickstart_prints_what_it_claims(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    claimed = [line.split("# ", 1)[1] for line in code.splitlines()
+               if line.startswith("print(")]
+    exec(code, {})
+    assert capsys.readouterr().out.splitlines() == claimed == ["bbaababb 8", "7"]

@@ -55,6 +55,13 @@ def test_rotation_indices_match_brute(w):
     assert maximal_rotation_index(w) == brute.max_rotation_index(w)
 
 
+def test_rotation_indices_match_brute_on_all_binary_strings():
+    # exhaustive, so periodic ties such as "abab" are always checked
+    for w in brute.binary_strings(12):
+        assert minimal_rotation_index(w) == brute.min_rotation_index(w), w
+        assert maximal_rotation_index(w) == brute.max_rotation_index(w), w
+
+
 # ------------------------------------------------------- borders and periods
 
 def test_border_and_period_examples():
