@@ -2,8 +2,10 @@
 
 Three interchangeable strategies:
 
-* exact_max_path: Held-Karp dynamic programming over node subsets, exact but
-  exponential (guarded by a configurable node limit).
+* exact_max_path: Held-Karp dynamic programming over node subsets, filled
+  with numpy array operations; exact but exponential, O(2^n n^2) time and a
+  2^n * n int64 table (8 MB at n=16), guarded by a configurable node limit
+  that is checked before anything is allocated.
 * cycle_cover_path: exact maximum cycle cover with the diagonal masked out,
   then drop the lightest edge of every cycle and chain the resulting paths.
   Guarantees at least half the optimal path weight.
@@ -20,6 +22,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
+from math import comb
+
+import numpy as np
 
 from .graph import WeightMatrix, cycle_edges, max_cycle_cover
 
@@ -51,14 +58,52 @@ def _path_weight(w, order) -> int:
 
 
 DEFAULT_EXACT_LIMIT = 16
+# Held-Karp table cells that hold no path; adding a few weights to it can
+# neither overflow int64 nor reach the weight of a real path.
+_UNSET = np.iinfo(np.int64).min // 2
+# Candidate cells per numpy call in the Held-Karp fill: 128 KB of int64
+# stays in cache and keeps peak memory close to the table's own size.
+_BLOCK_CELLS = 1 << 14
+
+
+@lru_cache(maxsize=None)
+def _subset_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+    """What the Held-Karp fill needs that depends on n alone.
+
+    Every n-bit mask by ascending popcount (ascending value within one
+    popcount), ``bit[f] = 1 << f``, the flat table cell of the path
+    ``f -> j`` (of ``f`` alone where ``j == f``), and where each popcount's
+    run of masks ends.  Building these takes more numpy calls than a small
+    DP itself, so they are kept for each n solved: read-only, 8 * 2^n bytes
+    plus O(n^2), 1/n of that n's table.
+    """
+    popcount = np.zeros(1, dtype=np.int8)
+    for _ in range(n):
+        popcount = np.concatenate((popcount, popcount + 1))
+    nodes = np.arange(n)
+    bit = 1 << nodes
+    arrays = (popcount.argsort(kind="stable"), bit,
+              (nodes << n)[:, None] + (bit[:, None] | bit))
+    for a in arrays:
+        a.flags.writeable = False
+    return (*arrays, tuple(accumulate(comb(n, k) for k in range(n + 1))))
 
 
 def exact_max_path(m: WeightMatrix, limit: int = DEFAULT_EXACT_LIMIT) -> PathSolution:
-    """Maximum-weight Hamiltonian path by subset DP, O(2^n n^2).
+    """Maximum-weight Hamiltonian path by Held-Karp subset DP in numpy.
 
-    Ties resolve to the lexicographically smallest node order, obtained by
-    computing best suffix weights first and then rebuilding the path greedily
-    from the front, always taking the smallest feasible node.
+    ``best[first, mask]`` is the largest weight of a path that visits exactly
+    the nodes of ``mask`` and starts at ``first``.  It is filled one popcount
+    layer at a time, ``max_j w[first, j] + best[j, mask ^ bit(first)]``, for
+    a block of masks and every ``first`` per numpy call.  Time is
+    O(2^n n^2); the int64 table takes 2^n * n * 8 bytes (8 MB at n=16), and
+    no temporary holds more cells than the table or than 2^14 (128 KB).
+    ``limit`` is checked before anything is allocated.  Weights must stay
+    below 2^58 / n in absolute value, far above any overlap length.
+
+    Ties resolve to the lexicographically smallest node order: the path is
+    rebuilt from the front, always taking the smallest node that keeps the
+    best weight.
     """
     n = m.n
     if n == 0:
@@ -68,43 +113,33 @@ def exact_max_path(m: WeightMatrix, limit: int = DEFAULT_EXACT_LIMIT) -> PathSol
     if n == 1:
         return PathSolution(order=(0,), weight=0, solver_tag=SolverTag.EXACT,
                             ratio_guarantee=Fraction(1))
-    w = m.w.tolist()
-    full = (1 << n) - 1
-    # best[mask][first]: max weight of a path visiting exactly `mask`,
-    # starting at `first`
-    best = [[0] * n for _ in range(full + 1)]
-    masks = sorted(range(1, full + 1), key=lambda x: x.bit_count())
-    for mask in masks:
-        if mask.bit_count() < 2:
-            continue
-        row = best[mask]
-        for first in range(n):
-            bit = 1 << first
-            if not mask & bit:
-                continue
-            rest = mask ^ bit
-            sub = best[rest]
-            wf = w[first]
-            cand = None
-            nxt = rest
-            while nxt:
-                j = (nxt & -nxt).bit_length() - 1
-                v = wf[j] + sub[j]
-                if cand is None or v > cand:
-                    cand = v
-                nxt &= nxt - 1
-            row[first] = cand
-    total = max(best[full])
-    mask = full
-    cur = min(j for j in range(n) if best[full][j] == total)
+    w = m.w
+    size = 1 << n
+    masks, bit, edge_cells, layer_ends = _subset_layout(n)
+    # Paths of two nodes are single edges and paths of one node weigh 0.
+    # Above that, cells whose first node lies outside the mask are filled
+    # too, from still-unset supersets, so they stay within a few weights of
+    # _UNSET and never win a max against a real path.
+    best = np.full((n, size), _UNSET, dtype=np.int64)
+    best.put(edge_cells, w)
+    best.put(edge_cells.diagonal(), 0)
+    w_by_next = w.T[:, None, :]
+    step = min(_BLOCK_CELLS, n * size) // (n * n)
+    for lo_layer, hi_layer in zip(layer_ends[2:-1], layer_ends[3:]):
+        for lo in range(lo_layer, hi_layer, step):
+            block = masks[lo:min(lo + step, hi_layer)]
+            # cand[j, b, first] = best[j, block[b] ^ bit(first)] + w[first, j]
+            cand = best.take(block[:, None] ^ bit, axis=1)
+            cand += w_by_next
+            best.T[block] = cand.max(axis=0)
+    mask = size - 1
+    cur = int(best[:, mask].argmax())  # argmax returns the first maximum
+    total = int(best[cur, mask])
     order = [cur]
-    while mask.bit_count() > 1:
-        rest = mask ^ (1 << cur)
-        target = best[mask][cur]
-        cur = min(j for j in range(n)
-                  if (rest >> j) & 1 and w[order[-1]][j] + best[rest][j] == target)
+    for _ in range(n - 1):
+        mask ^= 1 << cur
+        cur = int((w[cur] + best[:, mask]).argmax())
         order.append(cur)
-        mask = rest
     return PathSolution(order=tuple(order), weight=total,
                         solver_tag=SolverTag.EXACT, ratio_guarantee=Fraction(1))
 

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import words
-from .atsp import PathSolution, cycle_cover_path, exact_max_path
+from .atsp import DEFAULT_EXACT_LIMIT, PathSolution, cycle_cover_path, exact_max_path
 from .graph import Instance, build_matrices, min_cycle_cover, overlap_matrix
 
 
@@ -192,7 +192,7 @@ def greedy_superstring(inst: Instance) -> Solution:
     return _solution(inst, _appearance_order(inst, text), text, "greedy")
 
 
-def exact_superstring(inst: Instance, limit: int = 16) -> Solution:
+def exact_superstring(inst: Instance, limit: int = DEFAULT_EXACT_LIMIT) -> Solution:
     """Optimal superstring via the exact max-path solver on the overlap graph."""
     path = exact_max_path(overlap_matrix(inst.strings), limit=limit)
     return replace(merge_order(inst, path.order), algorithm="exact")

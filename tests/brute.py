@@ -123,6 +123,17 @@ def max_path_weight(weights):
                for p in itertools.permutations(range(n)))
 
 
+def max_path_order(weights):
+    """Lexicographically smallest order of maximum Hamiltonian-path weight."""
+    n = len(weights)
+    best, best_order = None, None
+    for p in itertools.permutations(range(n)):  # in lexicographic order
+        total = sum(weights[p[i]][p[i + 1]] for i in range(n - 1))
+        if best is None or total > best:
+            best, best_order = total, p
+    return best_order
+
+
 def binary_strings(max_len):
     for n in range(1, max_len + 1):
         for bits in itertools.product("ab", repeat=n):

@@ -56,6 +56,13 @@ def test_exact_limit():
     exact_max_path(m, limit=17)
 
 
+def test_exact_limit_refuses_before_allocating():
+    # a table for 40 nodes would cover 2^40 masks, so only a check made
+    # before allocating can raise here
+    with pytest.raises(SolverLimitError):
+        exact_max_path(matrix([[1] * 40 for _ in range(40)]))
+
+
 def test_exact_tie_breaks_to_lexicographically_smallest_order():
     sol = exact_max_path(matrix([[0] * 4 for _ in range(4)]))
     assert sol.order == (0, 1, 2, 3)
@@ -73,17 +80,29 @@ def test_exact_matches_enumeration(rows):
 def test_exact_tie_break_matches_enumeration():
     # tiny weights force plenty of ties; the solver must return the
     # lexicographically smallest among all maximum-weight orders
-    import itertools
-
     rng = random.Random(13)
     for _ in range(60):
         n = rng.randint(2, 6)
         rows = [[rng.randint(0, 2) for _ in range(n)] for _ in range(n)]
-        best_w = brute.max_path_weight(rows)
-        best_order = min(
-            p for p in itertools.permutations(range(n))
-            if sum(rows[p[i]][p[i + 1]] for i in range(n - 1)) == best_w)
-        assert exact_max_path(matrix(rows)).order == best_order
+        assert exact_max_path(matrix(rows)).order == brute.max_path_order(rows)
+
+
+# weights 0-2 force ties; weights up to 2^40 keep path sums far from the
+# table's int64 sentinel and from overflow
+oracle_matrices = st.tuples(st.integers(min_value=1, max_value=8),
+                            st.sampled_from([2, 2 ** 40])).flatmap(
+    lambda nw: st.lists(
+        st.lists(st.integers(min_value=0, max_value=nw[1]),
+                 min_size=nw[0], max_size=nw[0]),
+        min_size=nw[0], max_size=nw[0]))
+
+
+@given(oracle_matrices)
+@settings(max_examples=120, deadline=None)
+def test_exact_order_matches_permutation_oracle(rows):
+    sol = exact_max_path(matrix(rows))
+    assert sol.order == brute.max_path_order(rows)
+    assert sol.weight == brute.max_path_weight(rows)
 
 
 # ------------------------------------------------------------ cover-based path

@@ -1,10 +1,17 @@
+import inspect
 import random
 from pathlib import Path
 
 import pytest
 
 import brute
-from superstring.atsp import cycle_cover_path, exact_max_path, greedy_max_path
+from superstring.atsp import (
+    DEFAULT_EXACT_LIMIT,
+    SolverLimitError,
+    cycle_cover_path,
+    exact_max_path,
+    greedy_max_path,
+)
 from superstring.graph import DegenerateInstanceError, Instance, normalize
 from superstring.pipeline import (
     cycle_string,
@@ -192,6 +199,14 @@ def test_exact_superstring_examples():
 def test_exact_superstring_no_overlaps():
     inst = inst_of("aa", "bb", "cc")
     assert exact_superstring(inst).length == inst.total_length
+
+
+def test_exact_superstring_default_limit_is_the_solvers():
+    limit = inspect.signature(exact_superstring).parameters["limit"].default
+    assert limit == DEFAULT_EXACT_LIMIT
+    inst = inst_of(*(format(i, "05b") for i in range(DEFAULT_EXACT_LIMIT + 1)))
+    with pytest.raises(SolverLimitError):
+        exact_superstring(inst)
 
 
 def test_exact_superstring_matches_enumeration():
