@@ -43,14 +43,19 @@ class SolverLimitError(ValueError):
 
 @dataclass(frozen=True)
 class PathSolution:
+    """A Hamiltonian path; ``ratio_guarantee`` is derived from ``solver_tag``."""
+
     order: tuple[int, ...]
     weight: int
     solver_tag: SolverTag
-    ratio_guarantee: Fraction
 
     def __post_init__(self):
         if sorted(self.order) != list(range(len(self.order))):
             raise ValueError("order must visit every node exactly once")
+
+    @property
+    def ratio_guarantee(self) -> Fraction:
+        return Fraction(1) if self.solver_tag is SolverTag.EXACT else Fraction(1, 2)
 
 
 def _path_weight(w, order) -> int:
@@ -110,9 +115,6 @@ def exact_max_path(m: WeightMatrix, limit: int = DEFAULT_EXACT_LIMIT) -> PathSol
         raise ValueError("empty matrix")
     if n > limit:
         raise SolverLimitError(f"exact solver limit: n={n} exceeds {limit}")
-    if n == 1:
-        return PathSolution(order=(0,), weight=0, solver_tag=SolverTag.EXACT,
-                            ratio_guarantee=Fraction(1))
     w = m.w
     size = 1 << n
     masks, bit, edge_cells, layer_ends = _subset_layout(n)
@@ -141,7 +143,7 @@ def exact_max_path(m: WeightMatrix, limit: int = DEFAULT_EXACT_LIMIT) -> PathSol
         cur = int((w[cur] + best[:, mask]).argmax())
         order.append(cur)
     return PathSolution(order=tuple(order), weight=total,
-                        solver_tag=SolverTag.EXACT, ratio_guarantee=Fraction(1))
+                        solver_tag=SolverTag.EXACT)
 
 
 def cycle_cover_path(m: WeightMatrix) -> PathSolution:
@@ -157,8 +159,7 @@ def cycle_cover_path(m: WeightMatrix) -> PathSolution:
         raise ValueError("empty matrix")
     if n == 1:
         return PathSolution(order=(0,), weight=0,
-                            solver_tag=SolverTag.CYCLE_COVER_HALF,
-                            ratio_guarantee=Fraction(1, 2))
+                            solver_tag=SolverTag.CYCLE_COVER_HALF)
     cover = max_cycle_cover(m, allow_loops=False)
     pieces = []
     for cyc in cover.cycles:
@@ -173,8 +174,7 @@ def cycle_cover_path(m: WeightMatrix) -> PathSolution:
     pieces.sort(key=min)
     order = tuple(node for piece in pieces for node in piece)
     return PathSolution(order=order, weight=_path_weight(m.w, order),
-                        solver_tag=SolverTag.CYCLE_COVER_HALF,
-                        ratio_guarantee=Fraction(1, 2))
+                        solver_tag=SolverTag.CYCLE_COVER_HALF)
 
 
 def greedy_max_path(m: WeightMatrix) -> PathSolution:
@@ -182,9 +182,6 @@ def greedy_max_path(m: WeightMatrix) -> PathSolution:
     n = m.n
     if n == 0:
         raise ValueError("empty matrix")
-    if n == 1:
-        return PathSolution(order=(0,), weight=0, solver_tag=SolverTag.GREEDY,
-                            ratio_guarantee=Fraction(1, 2))
     w = m.w
     edges = sorted(((i, j) for i in range(n) for j in range(n) if i != j),
                    key=lambda e: (-int(w[e[0], e[1]]), e))
@@ -215,5 +212,4 @@ def greedy_max_path(m: WeightMatrix) -> PathSolution:
         order.append(node)
         node = succ[node]
     return PathSolution(order=tuple(order), weight=_path_weight(w, order),
-                        solver_tag=SolverTag.GREEDY,
-                        ratio_guarantee=Fraction(1, 2))
+                        solver_tag=SolverTag.GREEDY)

@@ -44,8 +44,8 @@ from .words import NiceWord, RotationKind
 class BoundReport:
     """Outcome of one inequality check.
 
-    ``holds`` is lhs < rhs when ``strict`` else lhs <= rhs; checks whose
-    preconditions fail report ``applicable=False`` and hold vacuously.
+    ``holds`` is derived, lhs < rhs when ``strict`` else lhs <= rhs; checks
+    whose preconditions fail report ``applicable=False`` and hold vacuously.
     For disjunction-style checks lhs is a 0/1 indicator tested against 0.
     """
 
@@ -54,8 +54,12 @@ class BoundReport:
     lhs: Fraction
     rhs: Fraction
     strict: bool
-    holds: bool
     applicable: bool
+
+    @property
+    def holds(self) -> bool:
+        return not self.applicable or (
+            self.lhs < self.rhs if self.strict else self.lhs <= self.rhs)
 
     def to_jsonable(self) -> dict:
         return {
@@ -70,10 +74,8 @@ class BoundReport:
 
 
 def _report(check_id, inputs, lhs, rhs, strict=False, applicable=True) -> BoundReport:
-    lhs, rhs = Fraction(lhs), Fraction(rhs)
-    holds = True if not applicable else (lhs < rhs if strict else lhs <= rhs)
-    return BoundReport(check_id=check_id, inputs=inputs, lhs=lhs, rhs=rhs,
-                       strict=strict, holds=holds, applicable=applicable)
+    return BoundReport(check_id=check_id, inputs=inputs, lhs=Fraction(lhs),
+                       rhs=Fraction(rhs), strict=strict, applicable=applicable)
 
 
 def _require_usable_pair(w1: NiceWord, w2: NiceWord) -> None:
@@ -141,14 +143,6 @@ def _order_flip(s: str) -> str:
     return "".join(chr(0x10FFFF - ord(c)) for c in s)
 
 
-def _brute_extreme_rotation_positions(w: str) -> tuple[int, int]:
-    """(i_max, i_min), 1-based, by direct comparison of all rotations."""
-    rots = [w[i:] + w[:i] for i in range(len(w))]
-    imax = max(range(len(w)), key=lambda i: rots[i])
-    imin = min(range(len(w)), key=lambda i: rots[i])
-    return imax + 1, imin + 1
-
-
 def verify_rotation_positions(a: Node, b: Node) -> BoundReport:
     """Where can the extreme rotations of the first word start, given a long
     overlap onto the second?
@@ -186,7 +180,8 @@ def verify_rotation_positions(a: Node, b: Node) -> BoundReport:
             break
     if w12 is None:
         raise AssertionError("overlap is not a factor of the word's repetitions")
-    imax, imin = _brute_extreme_rotation_positions(w12)
+    imax = words.maximal_rotation_index(w12)
+    imin = words.minimal_rotation_index(w12)
 
     r_max = l2 * ((o12 - 1) // l2) + 1
     r_min = l2 * ((o12 - a2 - 1) // l2) + a2 + 1

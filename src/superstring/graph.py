@@ -102,12 +102,17 @@ def normalize(raw: Sequence[str]) -> tuple[Instance, list[tuple[str, str]]]:
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    n: int
+    """Square edge weights ``w``; the node count ``n`` is derived from it."""
+
     w: np.ndarray
 
     def __post_init__(self):
-        if self.w.shape != (self.n, self.n):
+        if self.w.ndim != 2 or self.w.shape[0] != self.w.shape[1]:
             raise ValueError("weight matrix must be n x n")
+
+    @property
+    def n(self) -> int:
+        return self.w.shape[0]
 
 
 def _successor(p: str) -> str | None:
@@ -143,19 +148,15 @@ def overlap_matrix(strings: Sequence[str]) -> WeightMatrix:
                 row[lo:n if nxt is None else bisect_left(keys, nxt, lo)] = k
     out = np.empty_like(w)
     out[:, order] = w
-    return WeightMatrix(n=n, w=out)
-
-
-def prefix_matrix_from_overlap(strings: Sequence[str], ov: WeightMatrix) -> WeightMatrix:
-    lengths = np.array([len(s) for s in strings], dtype=np.int64)
-    return WeightMatrix(n=ov.n, w=lengths[:, None] - ov.w)
+    return WeightMatrix(out)
 
 
 def build_matrices(inst: Instance | Sequence[str]) -> tuple[WeightMatrix, WeightMatrix]:
     """Overlap and prefix matrices of an instance (or a plain string list)."""
     strings = inst.strings if isinstance(inst, Instance) else tuple(inst)
     ov = overlap_matrix(strings)
-    return ov, prefix_matrix_from_overlap(strings, ov)
+    lengths = np.array([len(s) for s in strings], dtype=np.int64)
+    return ov, WeightMatrix(lengths[:, None] - ov.w)
 
 
 @dataclass(frozen=True)

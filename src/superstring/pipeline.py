@@ -48,20 +48,19 @@ class Representative:
 class Solution:
     """A superstring plus bookkeeping.
 
-    ``total_overlap`` is the saving over plain concatenation,
-    ``sum(|s_i|) - length``; for solutions built by merging the instance
-    strings in ``order`` it equals the sum of consecutive overlaps.
+    ``length`` is derived from ``text``; ``total_overlap`` is the saving
+    over concatenation, ``sum(|s_i|) - length``, for merged solutions the
+    sum of consecutive overlaps along ``order``.
     """
 
     order: tuple[int, ...]
     text: str
-    length: int
     total_overlap: int
     algorithm: str
 
-    def __post_init__(self):
-        if self.length != len(self.text):
-            raise ValueError("length field must match the text")
+    @property
+    def length(self) -> int:
+        return len(self.text)
 
 
 PathSolver = Callable[..., PathSolution]
@@ -78,7 +77,7 @@ def _merge_texts(texts: Sequence[str]) -> str:
 
 
 def _solution(inst: Instance, order, text, algorithm) -> Solution:
-    return Solution(order=tuple(order), text=text, length=len(text),
+    return Solution(order=tuple(order), text=text,
                     total_overlap=inst.total_length - len(text),
                     algorithm=algorithm)
 

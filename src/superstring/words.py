@@ -30,24 +30,26 @@ class NiceWord:
     """A primitive string equal to its own nice rotation.
 
     ``word == pmax + pmin`` when ``kind`` is MAX, ``pmin + pmax`` when MIN.
-    ``alpha`` is the length of the shorter piece.  ``degenerate`` marks the
-    single-letter case, which falls outside the min/max-rotation theory
-    (there both rotations coincide); degenerate words carry ``alpha == 0``
-    and are skipped by the bound checkers.
+    ``pmax_len``, ``alpha`` (the shorter piece's length) and ``degenerate``
+    are derived.  ``degenerate`` marks the single-letter case (pmin empty,
+    alpha 0), outside the min/max-rotation theory; bound checkers skip it.
     """
 
     word: str
     kind: RotationKind
     pmin_len: int
-    pmax_len: int
-    alpha: int
-    degenerate: bool = False
 
-    def __post_init__(self):
-        if self.pmin_len + self.pmax_len != len(self.word):
-            raise ValueError("pmin_len + pmax_len must equal |word|")
-        if not self.degenerate and self.alpha != min(self.pmin_len, self.pmax_len):
-            raise ValueError("alpha must be min(pmin_len, pmax_len)")
+    @property
+    def pmax_len(self) -> int:
+        return len(self.word) - self.pmin_len
+
+    @property
+    def alpha(self) -> int:
+        return min(self.pmin_len, self.pmax_len)
+
+    @property
+    def degenerate(self) -> bool:
+        return len(self.word) == 1
 
     @property
     def p_min(self) -> str:
@@ -187,18 +189,16 @@ def nice_rotation(w: str) -> NiceWord:
     if not is_primitive(w):
         raise ValueError("not primitive")
     if len(w) == 1:
-        return NiceWord(word=w, kind=RotationKind.MAX, pmin_len=0, pmax_len=1,
-                        alpha=0, degenerate=True)
+        return NiceWord(word=w, kind=RotationKind.MAX, pmin_len=0)
     n = len(w)
     imin = minimal_rotation_index(w) - 1
     imax = maximal_rotation_index(w) - 1
     pmin_len = (imax - imin) % n
-    pmax_len = n - pmin_len
-    if pmax_len <= pmin_len:
+    if n - pmin_len <= pmin_len:
         return NiceWord(word=rotate(w, imax), kind=RotationKind.MAX,
-                        pmin_len=pmin_len, pmax_len=pmax_len, alpha=pmax_len)
+                        pmin_len=pmin_len)
     return NiceWord(word=rotate(w, imin), kind=RotationKind.MIN,
-                    pmin_len=pmin_len, pmax_len=pmax_len, alpha=pmin_len)
+                    pmin_len=pmin_len)
 
 
 def _base_word(w: NiceWord | str) -> str:

@@ -172,7 +172,7 @@ def test_criterion_6_oracle_equivalence():
         rng2 = random.Random(SEED * 7 + trial)
         n = 8 if trial % 9 == 0 else rng2.randint(2, 7)
         rows = [[rng2.randint(0, 12) for _ in range(n)] for _ in range(n)]
-        m = WeightMatrix(n=n, w=np.array(rows, dtype=np.int64))
+        m = WeightMatrix(np.array(rows, dtype=np.int64))
         if exact_max_path(m).weight != brute.max_path_weight(rows):
             failures.append(f"held-karp trial {trial}")
     _finish(6, "brute-force oracle equivalence", time.perf_counter() - t0,

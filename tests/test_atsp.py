@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from superstring.graph import WeightMatrix, build_matrices
 
 def matrix(rows):
     arr = np.array(rows, dtype=np.int64)
-    return WeightMatrix(n=arr.shape[0], w=arr)
+    return WeightMatrix(arr)
 
 
 small_matrices = st.integers(min_value=2, max_value=6).flatmap(
@@ -153,6 +154,20 @@ def test_greedy_uniform_matrix():
 
 
 # ------------------------------------------------------------ shared properties
+
+@pytest.mark.parametrize("solver, tag, guarantee", [
+    (exact_max_path, SolverTag.EXACT, Fraction(1)),
+    (cycle_cover_path, SolverTag.CYCLE_COVER_HALF, Fraction(1, 2)),
+    (greedy_max_path, SolverTag.GREEDY, Fraction(1, 2)),
+])
+def test_single_node_and_empty_matrix(solver, tag, guarantee):
+    # the heavy diagonal is a loop edge, which no path can use
+    sol = solver(matrix([[7]]))
+    assert (sol.order, sol.weight, sol.solver_tag) == ((0,), 0, tag)
+    assert sol.ratio_guarantee == guarantee
+    with pytest.raises(ValueError):
+        solver(WeightMatrix(np.zeros((0, 0), dtype=np.int64)))
+
 
 @given(small_matrices)
 @settings(max_examples=150, deadline=None)

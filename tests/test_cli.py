@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from superstring import cli
 from superstring.graph import build_matrices
 
@@ -115,6 +117,30 @@ def test_compare_degenerate_exits_1(tmp_path, capsys):
     path = write_instance(tmp_path, ["ab", "ab"])
     assert cli.main(["compare", path]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_failed_validation_exits_3_with_message(tmp_path, capsys, monkeypatch,
+                                                 command):
+    monkeypatch.setattr(cli, "validate_superstring", lambda inst, text: False)
+    path = write_instance(tmp_path, ["abc", "bcd", "cde"])
+    out = tmp_path / "r.json"
+    assert cli.main([command, path, "--json", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "internal error: output failed validation" in err.splitlines()
+    assert not out.exists()
+
+
+def test_successive_main_calls_do_not_leak_arguments(tmp_path, capsys):
+    path = write_instance(tmp_path, ["abc", "bcd", "cde", "def"])
+    assert cli.main(["solve", path, "--algo", "exact",
+                     "--exact-limit", "3"]) == 2
+    capsys.readouterr()
+    assert cli.main(["solve", path]) == 0
+    assert "algorithm: combined(" in capsys.readouterr().out
+    assert cli.main(["compare", path]) == 0
+    rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert "exact" in rows
 
 
 # -------------------------------------------------------------------- verify

@@ -22,7 +22,7 @@ from superstring.pipeline import cycle_string
 
 def matrix(rows):
     arr = np.array(rows, dtype=np.int64)
-    return WeightMatrix(n=arr.shape[0], w=arr)
+    return WeightMatrix(arr)
 
 
 # ----------------------------------------------------------------- normalize
@@ -122,6 +122,13 @@ def test_overlap_matrix_on_read_like_instance():
 def test_overlap_matrix_rejects_empty_string():
     with pytest.raises(ValueError):
         overlap_matrix(["ab", ""])
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,), ()])
+def test_weight_matrix_must_be_square(shape):
+    with pytest.raises(ValueError):
+        WeightMatrix(np.zeros(shape, dtype=np.int64))
+    assert WeightMatrix(np.zeros((3, 3), dtype=np.int64)).n == 3
 
 
 # -------------------------------------------------------------- cycle covers

@@ -226,8 +226,7 @@ def test_w_string_accepts_nice_word_objects():
 
 
 def test_w_string_prefix_rejects_empty_base():
-    bad = NiceWord(word="", kind=RotationKind.MAX, pmin_len=0, pmax_len=0,
-                   alpha=0, degenerate=True)
+    bad = NiceWord(word="", kind=RotationKind.MAX, pmin_len=0)
     with pytest.raises(ValueError):
         w_string_prefix(bad, 3)
 
