@@ -10,8 +10,10 @@ non-whitespace ASCII.  JSON reports have the flat shape
 
 with exact rationals rendered as "p/q" strings.  Reports are byte-identical
 across repeated runs with the same seed, except for the timestamp and the
-per-result ms timings.  Exit codes: 0 success, 1 unreadable or empty input,
-2 exact-solver limit exceeded, 3 internal validation failure.
+per-result ms timings.  An input that normalizes to one string is solved
+by that string, with a warning.  Exit codes: 0 success, 1 unreadable or
+empty input or out-of-range ``gen`` numbers, 2 exact-solver limit exceeded,
+3 internal validation failure.
 """
 
 from __future__ import annotations
@@ -126,23 +128,43 @@ def _load_normalized(path: str):
     return normalize(strings)
 
 
+def _single_string(exc: DegenerateInstanceError, algos, args, report) -> str | None:
+    """The one string an input normalizes to, after writing its report with
+    one trivial result per algorithm; None after an error for no string."""
+    if len(exc.survivors) != 1:
+        print("error: no usable strings in input", file=sys.stderr)
+        return None
+    text = exc.survivors[0]
+    print("warning: instance degenerates to a single string", file=sys.stderr)
+    report["instance"] = {"n": 1, "total_length": len(text)}
+    report["results"] = [{"algo": algo, "length": len(text), "overlap": 0,
+                          "order": [0], "ms": 0.0} for algo in algos]
+    _write_json(args.json, report)
+    return text
+
+
+def _compare_algos(n: int, exact_limit: int) -> list[str]:
+    return [a for a in _ALGOS if a != "exact" or n <= exact_limit]
+
+
+def _print_table(results: list[dict]) -> None:
+    best = min(r["length"] for r in results)
+    print(f"{'algorithm':<10} {'length':>7} {'overlap':>8} {'ratio':>7}")
+    for r in results:
+        print(f"{r['algo']:<10} {r['length']:>7} {r['overlap']:>8} "
+              f"{r['length'] / best:>7.3f}")
+
+
 def cmd_solve(args, argv) -> int:
     report = _report_skeleton(argv)
     try:
         inst, removed = _load_normalized(args.input)
     except DegenerateInstanceError as exc:
-        if len(exc.survivors) == 1:
-            text = exc.survivors[0]
-            print("warning: instance degenerates to a single string",
-                  file=sys.stderr)
-            report["instance"] = {"n": 1, "total_length": len(text)}
-            report["results"] = [{"algo": args.algo, "length": len(text),
-                                  "overlap": 0, "order": [0], "ms": 0.0}]
-            _write_json(args.json, report)
-            print(text)
-            return 0
-        print("error: no usable strings in input", file=sys.stderr)
-        return 1
+        text = _single_string(exc, [args.algo], args, report)
+        if text is None:
+            return 1
+        print(text)
+        return 0
     for reason, s in removed:
         print(f"warning: dropped {reason} string {s!r}", file=sys.stderr)
     report["instance"] = {"n": len(inst), "total_length": inst.total_length}
@@ -165,34 +187,27 @@ def cmd_compare(args, argv) -> int:
     report = _report_skeleton(argv)
     try:
         inst, removed = _load_normalized(args.input)
-    except DegenerateInstanceError:
-        print("error: fewer than two strings after normalization",
-              file=sys.stderr)
-        return 1
+    except DegenerateInstanceError as exc:
+        algos = _compare_algos(1, args.exact_limit)
+        if _single_string(exc, algos, args, report) is None:
+            return 1
+        _print_table(report["results"])
+        return 0
     for reason, s in removed:
         print(f"warning: dropped {reason} string {s!r}", file=sys.stderr)
     report["instance"] = {"n": len(inst), "total_length": inst.total_length}
     solver = _path_solver(args.path_solver, args.exact_limit)
-    algos = list(_ALGOS) if len(inst) <= args.exact_limit else \
-        [a for a in _ALGOS if a != "exact"]
-    solutions = {}
     checks = {"run": 0, "held": 0, "failed": 0, "violations": []}
-    for algo in algos:
+    for algo in _compare_algos(len(inst), args.exact_limit):
         sol, ms = _timed(_run_algo, algo, inst, solver, args.exact_limit)
         checks["run"] += 1
         if not validate_superstring(inst, sol.text):
             print("internal error: output failed validation", file=sys.stderr)
             return 3
         checks["held"] += 1
-        solutions[algo] = sol
         report["results"].append(_result_entry(algo, sol, ms))
     report["verification"] = checks
-    best = min(sol.length for sol in solutions.values())
-    print(f"{'algorithm':<10} {'length':>7} {'overlap':>8} {'ratio':>7}")
-    for algo in algos:
-        sol = solutions[algo]
-        print(f"{algo:<10} {sol.length:>7} {sol.total_overlap:>8} "
-              f"{sol.length / best:>7.3f}")
+    _print_table(report["results"])
     _write_json(args.json, report)
     return 0
 
@@ -255,7 +270,25 @@ def cmd_verify(args, argv) -> int:
     return 0
 
 
+def _gen_error(args) -> str | None:
+    """Why ``gen`` cannot build the requested family, or None if it can."""
+    rules = {
+        "tight2": [(args.k >= 1, "-k must be at least 1")],
+        "tight3": [(args.n >= 1, "-n must be at least 1")],
+        "greedy": [(args.n >= 4, "-n must be at least 4")],
+        "random": [(args.n >= 2, "-n must be at least 2"),
+                   (2 <= args.alphabet <= 8, "--alphabet must be 2 to 8"),
+                   (1 <= args.min_len <= args.max_len,
+                    "need 1 <= --min-len <= --max-len")],
+    }
+    return next((msg for ok, msg in rules[args.family] if not ok), None)
+
+
 def cmd_gen(args, argv) -> int:
+    error = _gen_error(args)
+    if error:
+        print(f"error: gen --family {args.family}: {error}", file=sys.stderr)
+        return 1
     sidecar = None
     if args.family == "tight2":
         fixture = bounds.gen_tight_2cycle(args.k)

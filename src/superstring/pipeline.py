@@ -66,14 +66,18 @@ class Solution:
 PathSolver = Callable[..., PathSolution]
 
 
-def _merge_texts(texts: Sequence[str]) -> str:
-    """pref(t1,t2) pref(t2,t3) ... t_last: the shortest string containing the
-    given texts in the given order."""
-    out = []
-    for a, b in zip(texts, texts[1:]):
-        out.append(words.prefix_part(a, b))
+def _merge_texts(texts: Sequence[str], overlaps: Sequence[int]) -> str:
+    """pref(t1,t2) pref(t2,t3) ... t_last: the texts joined in order, each
+    overlapping the next by the given amount, ``overlaps[t] = ov(t_t, t_t+1)``."""
+    out = [t[:len(t) - o] for t, o in zip(texts, overlaps)]
     out.append(texts[-1])
     return "".join(out)
+
+
+def _path_overlaps(w: np.ndarray, order: Sequence[int]) -> list[int]:
+    """The overlaps ``w[order[t], order[t+1]]`` between consecutive nodes."""
+    order = list(order)
+    return w[order[:-1], order[1:]].tolist()
 
 
 def _solution(inst: Instance, order, text, algorithm) -> Solution:
@@ -86,8 +90,9 @@ def merge_order(inst: Instance, order: Sequence[int]) -> Solution:
     """Merge the instance strings in the given visiting order."""
     if sorted(order) != list(range(len(inst))):
         raise ValueError("order must be a permutation of the instance indices")
-    text = _merge_texts([inst.strings[i] for i in order])
-    return _solution(inst, order, text, "merge")
+    texts = [inst.strings[i] for i in order]
+    overlaps = [words.overlap_len(a, b) for a, b in zip(texts, texts[1:])]
+    return _solution(inst, order, _merge_texts(texts, overlaps), "merge")
 
 
 def cycle_string(inst: Instance, cycle: Sequence[int]) -> str:
@@ -146,8 +151,9 @@ def solve_s1(inst: Instance, path_solver: PathSolver = exact_max_path) -> Soluti
     if len(reps) == 1:
         text = reps[0].text
     else:
-        path = path_solver(overlap_matrix([r.text for r in reps]))
-        text = _merge_texts([reps[i].text for i in path.order])
+        m = overlap_matrix([r.text for r in reps])
+        order = path_solver(m).order
+        text = _merge_texts([reps[i].text for i in order], _path_overlaps(m.w, order))
     algorithm = f"s1[{getattr(path_solver, '__name__', 'custom')}]"
     return _solution(inst, _appearance_order(inst, text), text, algorithm)
 
@@ -166,35 +172,46 @@ def solve_combined(inst: Instance, path_solver: PathSolver = exact_max_path) -> 
 
 
 def greedy_superstring(inst: Instance) -> Solution:
-    """Repeatedly merge the pair of current strings with the largest overlap.
+    """Repeatedly merge the pair of current chains with the largest overlap.
 
-    Ties pick the smallest (i, j) pair of carried indices; the merged string
-    replaces both and keeps the smaller index.
+    Ties pick the smallest (i, j) pair of chain ids; the merged chain
+    replaces both and keeps the smaller id.  A chain is the list of its
+    instance indices, and greedy works on the overlap matrix alone: on a
+    substring-free instance the overlap of chain ``a...b`` with chain
+    ``c...d`` is ``ov(b, c)``, since a longer one would put ``b`` or ``c``
+    across a junction that greedy would have merged along a larger overlap
+    first (Tarhio & Ukkonen 1988; Blum et al. 1994).  So after a merge the
+    kept chain's row is ``base[last(keep), first(k)]`` and its column
+    ``base[last(k), first(keep)]``: O(n) gathers and one ``argmax`` per
+    merge, no string work, and the text is built once at the end.
     """
-    chains: dict[int, str] = dict(enumerate(inst.strings))
+    n = len(inst)
+    base = overlap_matrix(inst.strings).w
     # ov[i, j] is the overlap of live chains i != j and -1 everywhere else,
     # so the row-major first maximum is the tie-broken best pair.
-    ov = overlap_matrix(inst.strings).w
+    ov = base.copy()
     np.fill_diagonal(ov, -1)
+    chains = {i: [i] for i in range(n)}
     while len(chains) > 1:
-        i, j = divmod(int(ov.argmax()), len(inst))
-        merged = chains[i][:len(chains[i]) - int(ov[i, j])] + chains[j]
+        i, j = divmod(int(ov.argmax()), n)
         keep, drop = min(i, j), max(i, j)
+        chains[keep] = chains[i] + chains[j]
         del chains[drop]
-        chains[keep] = merged
         ov[drop, :] = ov[:, drop] = -1
-        for k, c in chains.items():
-            if k != keep:
-                ov[keep, k] = words.overlap_len(merged, c)
-                ov[k, keep] = words.overlap_len(c, merged)
-    (text,) = chains.values()
+        others = [k for k in chains if k != keep]
+        ov[keep, others] = base[chains[keep][-1], [chains[k][0] for k in others]]
+        ov[others, keep] = base[[chains[k][-1] for k in others], chains[keep][0]]
+    (order,) = chains.values()
+    text = _merge_texts([inst.strings[i] for i in order], _path_overlaps(base, order))
     return _solution(inst, _appearance_order(inst, text), text, "greedy")
 
 
 def exact_superstring(inst: Instance, limit: int = DEFAULT_EXACT_LIMIT) -> Solution:
     """Optimal superstring via the exact max-path solver on the overlap graph."""
-    path = exact_max_path(overlap_matrix(inst.strings), limit=limit)
-    return replace(merge_order(inst, path.order), algorithm="exact")
+    m = overlap_matrix(inst.strings)
+    order = exact_max_path(m, limit=limit).order
+    text = _merge_texts([inst.strings[i] for i in order], _path_overlaps(m.w, order))
+    return _solution(inst, order, text, "exact")
 
 
 def validate_superstring(inst: Instance, text: str) -> bool:

@@ -113,10 +113,20 @@ def test_compare_table_and_report(tmp_path, capsys):
     assert report["verification"]["failed"] == 0
 
 
-def test_compare_degenerate_exits_1(tmp_path, capsys):
-    path = write_instance(tmp_path, ["ab", "ab"])
-    assert cli.main(["compare", path]) == 1
-    capsys.readouterr()
+def test_compare_single_string_exits_0_like_solve(tmp_path, capsys):
+    path = write_instance(tmp_path, ["abc", "b", "abc"])
+    out = str(tmp_path / "c.json")
+    assert cli.main(["compare", path, "--json", out]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: instance degenerates to a single string\n"
+    algos = ["combined", "s1", "s2", "greedy", "exact"]
+    assert captured.out.splitlines() == (
+        [f"{'algorithm':<10} {'length':>7} {'overlap':>8} {'ratio':>7}"]
+        + [f"{algo:<10} {3:>7} {0:>8} {'1.000':>7}" for algo in algos])
+    report = load_json(out)
+    assert report["instance"] == {"n": 1, "total_length": 3}
+    assert [(r["algo"], r["length"], r["overlap"], r["order"])
+            for r in report["results"]] == [(a, 3, 0, [0]) for a in algos]
 
 
 @pytest.mark.parametrize("command", ["solve", "compare"])
@@ -239,6 +249,25 @@ def test_gen_random_deterministic_and_solvable(tmp_path, capsys):
         == open(out2).read().replace("r2", "rX")
     assert cli.main(["solve", out1, "--algo", "combined"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "random", "-n", "1"],
+    ["--family", "random", "--alphabet", "1"],
+    ["--family", "random", "--alphabet", "9"],
+    ["--family", "random", "--min-len", "0"],
+    ["--family", "random", "--min-len", "5", "--max-len", "3"],
+    ["--family", "tight2", "-k", "0"],
+    ["--family", "tight3", "-n", "0"],
+    ["--family", "greedy", "-n", "3"],
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv[1:]))
+def test_gen_rejects_out_of_range_numbers(tmp_path, capsys, argv):
+    out = tmp_path / "bad.txt"
+    assert cli.main(["gen", *argv, str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 # ------------------------------------------------------------- determinism

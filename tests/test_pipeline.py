@@ -3,8 +3,11 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import brute
+from superstring import words
 from superstring.atsp import (
     DEFAULT_EXACT_LIMIT,
     SolverLimitError,
@@ -14,6 +17,7 @@ from superstring.atsp import (
 )
 from superstring.graph import DegenerateInstanceError, Instance, normalize
 from superstring.pipeline import (
+    _appearance_order,
     cycle_string,
     exact_superstring,
     greedy_superstring,
@@ -186,6 +190,46 @@ def test_greedy_matches_reference_merging():
         for _ in range(40):
             inst = random_instance(rng, max_n=8, max_len=12, alphabet=alphabet)
             assert greedy_superstring(inst).text == brute.greedy_text(inst.strings)
+
+
+@st.composite
+def greedy_instances(draw):
+    """Normalized instances of 2-10 strings over ``ab``/``abc``, mixing free
+    strings with substrings of one periodic source (many equal overlaps)."""
+    alphabet = draw(st.sampled_from(["ab", "abc"]))
+    root = draw(st.text(alphabet, min_size=1, max_size=5))
+    source = root * 12 + draw(st.text(alphabet, max_size=4))
+    piece = st.tuples(st.integers(0, len(source) - 1), st.integers(1, 16)).map(
+        lambda at: source[at[0]:at[0] + at[1]])
+    raw = draw(st.lists(st.text(alphabet, min_size=1, max_size=12) | piece,
+                        min_size=2, max_size=10))
+    try:
+        inst, _ = normalize(raw)
+    except DegenerateInstanceError:
+        assume(False)
+    return inst
+
+
+@given(greedy_instances())
+@settings(max_examples=400, deadline=None)
+def test_greedy_matches_reference_merging_property(inst):
+    sol = greedy_superstring(inst)
+    assert sol.text == brute.greedy_text(inst.strings)
+    assert sol.order == _appearance_order(inst, sol.text)
+
+
+def test_greedy_does_no_string_overlap_work(monkeypatch):
+    rng = random.Random(5)
+    cases = [random_instance(rng, max_n=10, alphabet=alphabet)
+             for alphabet in ("ab", "abc", "ACGT") for _ in range(10)]
+    expected = [greedy_superstring(inst).text for inst in cases]
+
+    def forbidden(*args):
+        raise AssertionError("greedy rescanned strings")
+
+    monkeypatch.setattr(words, "overlap_len", forbidden)
+    monkeypatch.setattr(words, "prefix_part", forbidden)
+    assert [greedy_superstring(inst).text for inst in cases] == expected
 
 
 # --------------------------------------------------------------------- exact
