@@ -36,7 +36,6 @@ from .graph import (
     DegenerateInstanceError,
     Instance,
     WeightMatrix,
-    build_matrices,
     max_cycle_cover,
     min_cycle_cover,
     normalize,

@@ -160,7 +160,7 @@ def cycle_cover_path(m: WeightMatrix) -> PathSolution:
     if n == 1:
         return PathSolution(order=(0,), weight=0,
                             solver_tag=SolverTag.CYCLE_COVER_HALF)
-    cover = max_cycle_cover(m, allow_loops=False)
+    cover = max_cycle_cover(m)
     pieces = []
     for cyc in cover.cycles:
         edges = cycle_edges(cyc)

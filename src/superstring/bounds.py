@@ -526,8 +526,7 @@ def pipeline_cycle_fuzz(trials: int, seed: int, *, start: int = 0) -> CampaignRe
         result.cases += 1
         if len(reps) < 2:
             continue
-        cover = max_cycle_cover(overlap_matrix([r.text for r in reps]),
-                                allow_loops=False)
+        cover = max_cycle_cover(overlap_matrix([r.text for r in reps]))
         for cyc in cover.cycles:
             chosen = [reps[i] for i in cyc]
             if any(r.nice.degenerate for r in chosen):

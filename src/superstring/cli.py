@@ -12,8 +12,8 @@ with exact rationals rendered as "p/q" strings.  Reports are byte-identical
 across repeated runs with the same seed, except for the timestamp and the
 per-result ms timings.  An input that normalizes to one string is solved
 by that string, with a warning.  Exit codes: 0 success, 1 unreadable or
-empty input or out-of-range ``gen`` numbers, 2 exact-solver limit exceeded,
-3 internal validation failure.
+empty input, out-of-range ``gen`` numbers or a negative ``verify --trials``,
+2 exact-solver limit exceeded, 3 internal validation failure.
 """
 
 from __future__ import annotations
@@ -225,12 +225,15 @@ def _campaign_chunk(task):
 
 
 def _run_fuzz(name: str, trials: int, seed: int, workers: int):
-    if workers <= 1:
+    """One campaign over ``trials`` trials, split into at most ``workers``
+    chunks, one process per chunk; a single chunk runs in this process."""
+    chunks = min(workers, trials)
+    if chunks <= 1:
         return [_campaign_chunk((name, seed, 0, trials))]
-    step = -(-trials // workers)
+    step = -(-trials // chunks)
     tasks = [(name, seed, lo, min(step, trials - lo))
              for lo in range(0, trials, step)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
         merged, *rest = pool.map(_campaign_chunk, tasks)
     for part in rest:
         merged.merge(part)
@@ -238,6 +241,9 @@ def _run_fuzz(name: str, trials: int, seed: int, workers: int):
 
 
 def cmd_verify(args, argv) -> int:
+    if args.trials < 0:
+        print("error: --trials must be at least 0", file=sys.stderr)
+        return 1
     report = _report_skeleton(argv, seed=args.seed)
     campaigns = []
     if args.suite in ("pairs", "all"):

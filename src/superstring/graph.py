@@ -7,6 +7,11 @@ fresh copy of itself).  The *prefix* matrix is its complement:
 prefix matrix and maximum cycle covers of the overlap matrix are the same
 permutations.
 
+Every solver starts from the same reduction of an instance: its overlap
+matrix and the exact minimum cycle cover of its prefix matrix (Blum et al.,
+JACM 1994).  ``Instance.overlap`` and ``Instance.cover`` compute each once
+per instance object, on first use, and every consumer reads them there.
+
 The overlap matrix comes from one sorted prefix index instead of per-pair
 scans, in the spirit of Gusfield, Landau & Schieber's all-pairs
 suffix-prefix algorithm (IPL 1992).  In the sorted list, the strings that
@@ -19,16 +24,18 @@ O(k log N) character comparisons in C), and the cells of the runs, filled
 by numpy (at most N per suffix; on random text the runs shrink
 geometrically with k), instead of N^2 per-pair scans in Python.
 
-Cycle covers are computed exactly with scipy's assignment solver.  Self-loop
-edges (fixed points of the permutation) are allowed by default; the max-path
-reduction masks the diagonal instead, because a path can never use a loop
-edge (see atsp.cycle_cover_path).
+Cycle covers are computed exactly with scipy's assignment solver.  The
+minimum cover of the prefix matrix may use self-loop edges (fixed points of
+the permutation); the maximum cover masks the diagonal, because it feeds
+path constructions and a path can never use a loop edge (see
+atsp.cycle_cover_path).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +47,12 @@ _TOP_CHAR = chr(0x10FFFF)
 
 @dataclass(frozen=True)
 class Instance:
-    """A normalized set of input strings: distinct and substring-free."""
+    """A normalized set of input strings: distinct and substring-free.
+
+    ``overlap`` and ``cover`` are the instance's reduction, each computed on
+    first use and kept on this object only: two equal instances compute
+    their own, and equality and hashing see ``strings`` alone.
+    """
 
     strings: tuple[str, ...]
 
@@ -61,6 +73,19 @@ class Instance:
     @property
     def total_length(self) -> int:
         return sum(len(s) for s in self.strings)
+
+    @cached_property
+    def overlap(self) -> WeightMatrix:
+        """The overlap matrix, shared by every solver (read-only)."""
+        m = overlap_matrix(self.strings)
+        m.w.flags.writeable = False
+        return m
+
+    @cached_property
+    def cover(self) -> CycleCover:
+        """Exact minimum cycle cover of the prefix matrix ``|s_i| - overlap``."""
+        lengths = np.array([len(s) for s in self.strings], dtype=np.int64)
+        return min_cycle_cover(WeightMatrix(lengths[:, None] - self.overlap.w))
 
 
 class DegenerateInstanceError(ValueError):
@@ -151,14 +176,6 @@ def overlap_matrix(strings: Sequence[str]) -> WeightMatrix:
     return WeightMatrix(out)
 
 
-def build_matrices(inst: Instance | Sequence[str]) -> tuple[WeightMatrix, WeightMatrix]:
-    """Overlap and prefix matrices of an instance (or a plain string list)."""
-    strings = inst.strings if isinstance(inst, Instance) else tuple(inst)
-    ov = overlap_matrix(strings)
-    lengths = np.array([len(s) for s in strings], dtype=np.int64)
-    return ov, WeightMatrix(lengths[:, None] - ov.w)
-
-
 @dataclass(frozen=True)
 class CycleCover:
     """A permutation (perm[i] = successor of node i) split into cycles.
@@ -188,33 +205,31 @@ def _decompose(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(cycles)
 
 
-def _assignment_cover(m: WeightMatrix, maximize: bool, allow_loops: bool) -> CycleCover:
-    w = m.w
-    if not allow_loops:
-        if m.n == 1:
-            raise ValueError("a single node admits no loop-free cycle cover")
-        w = w.copy()
-        np.fill_diagonal(w, -_LOOP_BAN if maximize else _LOOP_BAN)
+def _assignment_cover(m: WeightMatrix, w: np.ndarray, maximize: bool) -> CycleCover:
+    """The cover that the assignment solver picks on ``w``, weighed by ``m``."""
     rows, cols = linear_sum_assignment(w, maximize=maximize)
     perm = tuple(int(cols[i]) for i in np.argsort(rows))
-    if not allow_loops and any(perm[i] == i for i in range(m.n)):
-        raise AssertionError("assignment picked a banned loop edge")
     total = int(m.w[np.arange(m.n), list(perm)].sum())
     return CycleCover(perm=perm, cycles=_decompose(perm), total_weight=total)
 
 
 def min_cycle_cover(m: WeightMatrix) -> CycleCover:
     """Exact minimum-weight cycle cover (self-loops allowed)."""
-    return _assignment_cover(m, maximize=False, allow_loops=True)
+    return _assignment_cover(m, m.w, maximize=False)
 
 
-def max_cycle_cover(m: WeightMatrix, allow_loops: bool = True) -> CycleCover:
-    """Exact maximum-weight cycle cover.
-
-    ``allow_loops=False`` forbids fixed points, which is the right model when
-    the cover feeds a path construction (loop edges cannot appear on a path).
-    """
-    return _assignment_cover(m, maximize=True, allow_loops=allow_loops)
+def max_cycle_cover(m: WeightMatrix) -> CycleCover:
+    """Exact maximum-weight cycle cover without fixed points, the right
+    model when the cover feeds a path construction (loop edges cannot
+    appear on a path)."""
+    if m.n == 1:
+        raise ValueError("a single node admits no loop-free cycle cover")
+    w = m.w.copy()
+    np.fill_diagonal(w, -_LOOP_BAN)
+    cover = _assignment_cover(m, w, maximize=True)
+    if any(cover.perm[i] == i for i in range(m.n)):
+        raise AssertionError("assignment picked a banned loop edge")
+    return cover
 
 
 def cycle_edges(cycle: Sequence[int]) -> list[tuple[int, int]]:

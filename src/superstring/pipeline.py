@@ -13,7 +13,8 @@ The main route reduces the instance to a small set of *representatives*:
 ``solve_s1`` runs this with a pluggable path solver, ``solve_s2`` with the
 cycle-cover/drop-lightest-edge solver, and ``solve_combined`` returns the
 shorter of the two.  ``greedy_superstring`` and ``exact_superstring`` are the
-classic baselines.
+classic baselines.  All of them read the instance's overlap matrix and cover
+(``Instance.overlap``, ``Instance.cover``), which each instance computes once.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import words
 from .atsp import DEFAULT_EXACT_LIMIT, PathSolution, cycle_cover_path, exact_max_path
-from .graph import Instance, build_matrices, min_cycle_cover, overlap_matrix
+from .graph import Instance, cycle_edges, overlap_matrix
 
 
 @dataclass(frozen=True)
@@ -96,11 +97,14 @@ def merge_order(inst: Instance, order: Sequence[int]) -> Solution:
 
 
 def cycle_string(inst: Instance, cycle: Sequence[int]) -> str:
-    """Concatenated prefix parts read along the cycle; |s(C)| = cycle weight."""
-    k = len(cycle)
-    return "".join(
-        words.prefix_part(inst.strings[cycle[t]], inst.strings[cycle[(t + 1) % k]])
-        for t in range(k))
+    """Concatenated prefix parts read along the cycle; |s(C)| = cycle weight.
+
+    Each part is ``s_i`` less its overlap with the next member, read from the
+    instance's overlap matrix.
+    """
+    ov = inst.overlap.w
+    ss = inst.strings
+    return "".join(ss[i][:len(ss[i]) - int(ov[i, j])] for i, j in cycle_edges(cycle))
 
 
 def representative(inst: Instance, cycle: Sequence[int]) -> Representative:
@@ -133,9 +137,7 @@ def representative(inst: Instance, cycle: Sequence[int]) -> Representative:
 
 def representatives(inst: Instance) -> list[Representative]:
     """Representatives of all cycles of an exact minimum prefix-graph cover."""
-    _, pref = build_matrices(inst)
-    cover = min_cycle_cover(pref)
-    return [representative(inst, cyc) for cyc in cover.cycles]
+    return [representative(inst, cyc) for cyc in inst.cover.cycles]
 
 
 def _appearance_order(inst: Instance, text: str) -> tuple[int, ...]:
@@ -186,7 +188,7 @@ def greedy_superstring(inst: Instance) -> Solution:
     merge, no string work, and the text is built once at the end.
     """
     n = len(inst)
-    base = overlap_matrix(inst.strings).w
+    base = inst.overlap.w
     # ov[i, j] is the overlap of live chains i != j and -1 everywhere else,
     # so the row-major first maximum is the tie-broken best pair.
     ov = base.copy()
@@ -208,7 +210,7 @@ def greedy_superstring(inst: Instance) -> Solution:
 
 def exact_superstring(inst: Instance, limit: int = DEFAULT_EXACT_LIMIT) -> Solution:
     """Optimal superstring via the exact max-path solver on the overlap graph."""
-    m = overlap_matrix(inst.strings)
+    m = inst.overlap
     order = exact_max_path(m, limit=limit).order
     text = _merge_texts([inst.strings[i] for i in order], _path_overlaps(m.w, order))
     return _solution(inst, order, text, "exact")

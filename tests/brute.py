@@ -102,11 +102,26 @@ def exact_superstring_length(strings):
                for p in itertools.permutations(range(len(strings))))
 
 
-def best_assignment(weights, maximize=False):
-    """(total, perm) over all permutations; ties broken by smallest perm tuple."""
+def cycle_string(strings, cycle):
+    """Prefix parts read along the cycle, each member with its overlap with
+    the next member cut off; the overlaps are scanned pair by pair."""
+    parts = []
+    for t, i in enumerate(cycle):
+        u, v = strings[i], strings[cycle[(t + 1) % len(cycle)]]
+        parts.append(u[: len(u) - len(overlap(u, v))])
+    return "".join(parts)
+
+
+def best_assignment(weights, maximize=False, loops=True):
+    """(total, perm) over all permutations; ties broken by smallest perm tuple.
+
+    ``loops=False`` enumerates only the derangements (no ``p[i] == i``).
+    """
     n = len(weights)
     best_total, best_perm = None, None
     for p in itertools.permutations(range(n)):
+        if not loops and any(p[i] == i for i in range(n)):
+            continue
         total = sum(weights[i][p[i]] for i in range(n))
         key = (-total if maximize else total, p)
         if best_total is None or key < (best_total, best_perm):

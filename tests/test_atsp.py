@@ -14,7 +14,7 @@ from superstring.atsp import (
     exact_max_path,
     greedy_max_path,
 )
-from superstring.graph import WeightMatrix, build_matrices
+from superstring.graph import WeightMatrix, overlap_matrix
 
 
 def matrix(rows):
@@ -38,7 +38,7 @@ def test_exact_two_nodes():
 
 
 def test_exact_three_shifted_strings():
-    ov, _ = build_matrices(["abc", "bcd", "cde"])
+    ov = overlap_matrix(["abc", "bcd", "cde"])
     sol = exact_max_path(ov)
     assert sol.order == (0, 1, 2)
     assert sol.weight == 4
@@ -140,7 +140,7 @@ def test_greedy_two_nodes():
 
 
 def test_greedy_three_shifted_strings():
-    ov, _ = build_matrices(["abc", "bcd", "cde"])
+    ov = overlap_matrix(["abc", "bcd", "cde"])
     sol = greedy_max_path(ov)
     assert sol.order == (0, 1, 2)
     assert sol.weight == 4

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from superstring import cli
-from superstring.graph import build_matrices
+from superstring.graph import overlap_matrix
 
 
 def write_instance(tmp_path, lines, name="inst.txt"):
@@ -205,6 +205,47 @@ def test_verify_cycles_output_independent_of_workers(tmp_path, capsys):
     assert (cap1.out, cap1.err, report1) == (cap2.out, cap2.err, report2)
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and runs
+    the chunks in this process."""
+
+    def __init__(self, max_workers, sizes):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return list(map(fn, tasks))
+
+
+@pytest.mark.parametrize("trials, workers, pools", [
+    (0, 2, []), (1, 4, []), (3, 8, [3]), (5, 4, [3]), (8, 2, [2])])
+def test_verify_starts_no_more_processes_than_chunks(
+        trials, workers, pools, monkeypatch, capsys):
+    sizes = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                        lambda max_workers: RecordingPool(max_workers, sizes))
+    base = ["verify", "--suite", "pairs", "--trials", str(trials), "--seed", "2"]
+    assert cli.main(base + ["--workers", str(workers)]) == 0
+    parallel = capsys.readouterr()
+    assert sizes == pools
+    assert cli.main(base) == 0
+    assert capsys.readouterr() == parallel
+    assert "all checks held" in parallel.out
+
+
+def test_verify_rejects_negative_trials(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", None)  # never reached
+    assert cli.main(["verify", "--trials", "-3", "--workers", "2"]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == "error: --trials must be at least 0\n"
+
+
 # ----------------------------------------------------------------------- gen
 
 def test_gen_tight2_roundtrip(tmp_path, capsys):
@@ -215,7 +256,7 @@ def test_gen_tight2_roundtrip(tmp_path, capsys):
                if l and not l.startswith("#")]
     assert [len(s) for s in strings] == [15, 9]
     expected = load_json(out + ".expected.json")
-    ov, _ = build_matrices(strings)
+    ov = overlap_matrix(strings)
     assert [int(ov.w[0, 1]), int(ov.w[1, 0])] == expected["overlaps"]
 
 
@@ -226,7 +267,7 @@ def test_gen_tight3_roundtrip(tmp_path, capsys):
     strings = [l for l in open(out).read().splitlines()
                if l and not l.startswith("#")]
     expected = load_json(out + ".expected.json")
-    ov, _ = build_matrices(strings)
+    ov = overlap_matrix(strings)
     got = [int(ov.w[0, 1]), int(ov.w[1, 2]), int(ov.w[2, 0])]
     assert got == expected["overlaps"] == [28, 20, 17]
 

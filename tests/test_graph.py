@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
+from superstring import graph
 from superstring.graph import (
     DegenerateInstanceError,
     Instance,
     WeightMatrix,
-    build_matrices,
     max_cycle_cover,
     min_cycle_cover,
     normalize,
@@ -23,6 +23,13 @@ from superstring.pipeline import cycle_string
 def matrix(rows):
     arr = np.array(rows, dtype=np.int64)
     return WeightMatrix(arr)
+
+
+def matrices(strings):
+    """The overlap matrix and the prefix matrix ``|s_i| - overlap[i][j]``."""
+    ov = overlap_matrix(strings)
+    lengths = np.array([len(s) for s in strings], dtype=np.int64)
+    return ov, WeightMatrix(lengths[:, None] - ov.w)
 
 
 # ----------------------------------------------------------------- normalize
@@ -58,25 +65,25 @@ def test_instance_validation():
 
 def test_matrices_ab_ba():
     inst, _ = normalize(["ab", "ba"])
-    ov, pref = build_matrices(inst)
+    ov, pref = matrices(inst.strings)
     assert ov.w.tolist() == [[0, 1], [1, 0]]
     assert pref.w.tolist() == [[2, 1], [1, 2]]
 
 
 def test_matrices_diagonal_uses_border():
-    ov, pref = build_matrices(["aa", "bb"])
+    ov, pref = matrices(["aa", "bb"])
     assert ov.w.tolist() == [[1, 0], [0, 1]]
     assert pref.w.tolist() == [[1, 2], [2, 1]]
 
 
 def test_matrices_three_shifted_strings():
-    ov, _ = build_matrices(["abc", "bcd", "cde"])
+    ov = overlap_matrix(["abc", "bcd", "cde"])
     assert ov.w.tolist() == [[0, 2, 1], [0, 0, 2], [0, 0, 0]]
 
 
 def test_prefix_overlap_duality_entrywise():
     strings = ["abab", "babb", "bba"]
-    ov, pref = build_matrices(strings)
+    ov, pref = matrices(strings)
     for i, s in enumerate(strings):
         assert all(int(ov.w[i, j] + pref.w[i, j]) == len(s) for j in range(3))
 
@@ -124,6 +131,29 @@ def test_overlap_matrix_rejects_empty_string():
         overlap_matrix(["ab", ""])
 
 
+def test_equal_instances_each_compute_their_own_reduction(monkeypatch):
+    calls = []
+    original = graph.overlap_matrix
+
+    def recorded(strings):
+        calls.append(strings)
+        return original(strings)
+
+    monkeypatch.setattr(graph, "overlap_matrix", recorded)
+    a, b = Instance(("ab", "ba", "bb")), Instance(("ab", "ba", "bb"))
+    assert a == b and hash(a) == hash(b)
+    assert a.overlap is a.overlap
+    assert len(calls) == 1
+    assert b.overlap is not a.overlap
+    assert len(calls) == 2
+    assert (a.overlap.w.tolist() == b.overlap.w.tolist()
+            == overlap_matrix(a.strings).w.tolist())
+    assert a.cover == b.cover == min_cycle_cover(matrices(a.strings)[1])
+    assert a == b and hash(a) == hash(b)
+    with pytest.raises(ValueError):
+        a.overlap.w[0, 0] = 1
+
+
 @pytest.mark.parametrize("shape", [(2, 3), (3,), ()])
 def test_weight_matrix_must_be_square(shape):
     with pytest.raises(ValueError):
@@ -134,7 +164,7 @@ def test_weight_matrix_must_be_square(shape):
 # -------------------------------------------------------------- cycle covers
 
 def test_min_cover_prefers_two_cycle():
-    _, pref = build_matrices(["ab", "ba"])
+    _, pref = matrices(["ab", "ba"])
     cover = min_cycle_cover(pref)
     assert cover.perm == (1, 0)
     assert cover.total_weight == 2
@@ -148,17 +178,18 @@ def test_min_cover_prefers_self_loops():
 
 
 def test_min_cover_three_shifted_strings_matches_enumeration():
-    _, pref = build_matrices(["abc", "bcd", "cde"])
+    _, pref = matrices(["abc", "bcd", "cde"])
     cover = min_cycle_cover(pref)
     total, _ = brute.best_assignment(pref.w.tolist())
     assert cover.total_weight == total == 5
     assert cover.cycles == ((0, 1, 2),)
 
 
-def test_max_cover_all_zero_ties_to_identity():
-    cover = max_cycle_cover(matrix([[0] * 3] * 3))
-    assert cover.perm == (0, 1, 2)
-    assert cover.total_weight == 0
+def test_max_cover_all_zero_is_a_derangement():
+    rows = [[0] * 3] * 3
+    cover = max_cycle_cover(matrix(rows))
+    assert all(cover.perm[i] != i for i in range(3))
+    assert cover.total_weight == brute.best_assignment(rows, True, loops=False)[0] == 0
 
 
 def test_max_cover_duality_with_min_cover():
@@ -173,10 +204,14 @@ def test_max_cover_duality_with_min_cover():
             continue
         done += 1
         strings = inst.strings
-        ov, pref = build_matrices(strings)
+        ov, pref = matrices(strings)
         total_len = sum(len(s) for s in strings)
+        ov_rows, pref_rows = ov.w.tolist(), pref.w.tolist()
         assert (min_cycle_cover(pref).total_weight
-                == total_len - max_cycle_cover(ov).total_weight)
+                == total_len - brute.best_assignment(ov_rows, True)[0])
+        assert (max_cycle_cover(ov).total_weight
+                == brute.best_assignment(ov_rows, True, loops=False)[0]
+                == total_len - brute.best_assignment(pref_rows, loops=False)[0])
 
 
 def test_covers_match_enumeration_up_to_n7():
@@ -187,12 +222,12 @@ def test_covers_match_enumeration_up_to_n7():
         m = matrix(rows)
         assert min_cycle_cover(m).total_weight == brute.best_assignment(rows)[0]
         assert (max_cycle_cover(m).total_weight
-                == brute.best_assignment(rows, maximize=True)[0])
+                == brute.best_assignment(rows, maximize=True, loops=False)[0])
 
 
 def test_max_cover_loopless_never_uses_diagonal():
     m = matrix([[50, 1, 0], [0, 50, 1], [1, 0, 50]])
-    cover = max_cycle_cover(m, allow_loops=False)
+    cover = max_cycle_cover(m)
     assert all(cover.perm[i] != i for i in range(3))
     assert cover.total_weight == 3
 
@@ -210,22 +245,26 @@ def test_cycle_stats_on_tight_families():
     from superstring.bounds import gen_tight_2cycle, gen_tight_3cycle
 
     f = gen_tight_2cycle(1)
-    ov = build_matrices([x for _, x in f.nodes])[0]
+    ov = overlap_matrix([x for _, x in f.nodes])
     cover = max_cycle_cover(ov)
     assert cover.cycles == ((0, 1),)
     assert cover.total_weight == 16
+    assert brute.best_assignment(ov.w.tolist(), True, loops=False) == (16, (1, 0))
 
     f3 = gen_tight_3cycle(1)
-    ov3 = build_matrices([x for _, x in f3.nodes])[0]
-    cover3 = max_cycle_cover(ov3, allow_loops=False)
+    ov3 = overlap_matrix([x for _, x in f3.nodes])
+    cover3 = max_cycle_cover(ov3)
     assert cover3.cycles == ((0, 1, 2),)
+    assert (cover3.total_weight
+            == brute.best_assignment(ov3.w.tolist(), True, loops=False)[0])
 
 
 def test_max_cover_two_strings():
-    ov, _ = build_matrices(["ab", "ba"])
+    ov = overlap_matrix(["ab", "ba"])
     cover = max_cycle_cover(ov)
     assert cover.perm == (1, 0)
     assert cover.total_weight == 2
+    assert brute.best_assignment(ov.w.tolist(), True, loops=False) == (2, (1, 0))
 
 
 # ------------------------------------------- structure of minimum-cover cycles
@@ -242,8 +281,7 @@ def test_min_cover_cycle_strings_primitive_and_nonequivalent():
             inst, _ = normalize(raw)
         except DegenerateInstanceError:
             continue
-        _, pref = build_matrices(inst)
-        cover = min_cycle_cover(pref)
+        cover = inst.cover
         reads = [cycle_string(inst, cyc) for cyc in cover.cycles]
         for s in reads:
             if len(s) >= 2:

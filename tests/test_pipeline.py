@@ -1,5 +1,6 @@
 import inspect
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import brute
-from superstring import words
+from superstring import cli, graph, words
 from superstring.atsp import (
     DEFAULT_EXACT_LIMIT,
     SolverLimitError,
@@ -85,6 +86,33 @@ def test_cycle_string_self_loop_strips_border():
 def test_cycle_string_three_cycle():
     # pref(abc,bcd)="a", pref(bcd,cde)="b", pref(cde,abc)="cde"
     assert cycle_string(inst_of("abc", "bcd", "cde"), (0, 1, 2)) == "abcde"
+
+
+@st.composite
+def instances_with_cycle(draw):
+    """A normalized instance of up to 7 strings over ``ab`` or ``abc`` and a
+    cycle of 1 to n of its nodes (length 1 is a self-loop)."""
+    alphabet = draw(st.sampled_from(["ab", "abc"]))
+    raw = draw(st.lists(st.text(alphabet, min_size=1, max_size=10),
+                        min_size=2, max_size=7))
+    try:
+        inst, _ = normalize(raw)
+    except DegenerateInstanceError:
+        assume(False)
+    nodes = draw(st.permutations(range(len(inst))))
+    return inst, tuple(nodes[:draw(st.integers(1, len(inst)))])
+
+
+@given(instances_with_cycle())
+@settings(max_examples=200, deadline=None)
+def test_reduction_matches_pairwise_scans(case):
+    inst, cycle = case
+    ss = inst.strings
+    assert cycle_string(inst, cycle) == brute.cycle_string(ss, cycle)
+    prefix = [[len(u) - len(brute.overlap(u, v)) for v in ss] for u in ss]
+    assert inst.cover.total_weight == brute.best_assignment(prefix)[0]
+    for cyc in inst.cover.cycles:
+        assert cycle_string(inst, cyc) == brute.cycle_string(ss, cyc)
 
 
 # ------------------------------------------------------------ representatives
@@ -230,6 +258,51 @@ def test_greedy_does_no_string_overlap_work(monkeypatch):
     monkeypatch.setattr(words, "overlap_len", forbidden)
     monkeypatch.setattr(words, "prefix_part", forbidden)
     assert [greedy_superstring(inst).text for inst in cases] == expected
+
+
+# ---------------------------------------------------------- shared reduction
+
+TWO_CYCLES = ("aab", "aba", "baa", "ccd", "cdc", "dcc")
+
+
+def record_calls(monkeypatch, module, name):
+    """The first argument of every call to ``module.name``, rebound in every
+    superstring module that binds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if (modname.partition(".")[0] == "superstring"
+                and getattr(mod, name, None) is original):
+            monkeypatch.setattr(mod, name, recorded)
+    return calls
+
+
+def test_solve_combined_reduces_the_instance_once(monkeypatch):
+    inst = inst_of(*TWO_CYCLES)
+    matrices = record_calls(monkeypatch, graph, "overlap_matrix")
+    covers = record_calls(monkeypatch, graph, "min_cycle_cover")
+    sol = solve_combined(inst)
+    assert validate_superstring(inst, sol.text)
+    assert matrices.count(TWO_CYCLES) == 1
+    assert len(matrices) == 3  # and one per s1/s2 over the two representatives
+    assert len(covers) == 1
+
+
+def test_compare_reduces_the_instance_once(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "inst.txt"
+    path.write_text("\n".join(TWO_CYCLES) + "\n", encoding="utf-8")
+    matrices = record_calls(monkeypatch, graph, "overlap_matrix")
+    covers = record_calls(monkeypatch, graph, "min_cycle_cover")
+    assert cli.main(["compare", str(path)]) == 0
+    rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows == ["combined", "s1", "s2", "greedy", "exact"]
+    assert matrices.count(TWO_CYCLES) == 1
+    assert len(covers) == 1
 
 
 # --------------------------------------------------------------------- exact
