@@ -18,6 +18,7 @@ from .atsp import (
     cycle_cover_path,
     exact_max_path,
     greedy_max_path,
+    max_path,
 )
 from .bounds import (
     BoundReport,

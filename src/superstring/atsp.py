@@ -1,20 +1,18 @@
-"""Maximum-weight directed Hamiltonian path solvers behind one interface.
+"""Maximum-weight directed Hamiltonian path solvers, looked up by name.
 
-Three interchangeable strategies:
+``max_path`` runs the solver a ``SolverTag`` names.  A new solver is one
+``SolverTag`` member plus one branch of ``max_path``.  Three strategies:
 
 * exact_max_path: Held-Karp dynamic programming over node subsets, filled
   with numpy array operations; exact but exponential, O(2^n n^2) time and a
-  2^n * n int64 table (8 MB at n=16), guarded by a configurable node limit
-  that is checked before anything is allocated.
+  2^n * n int64 table (8 MB at n=16).  A configurable node limit and a
+  fixed 1 GiB ceiling on the table (n <= 22) are checked before anything
+  is allocated.
 * cycle_cover_path: exact maximum cycle cover with the diagonal masked out,
   then drop the lightest edge of every cycle and chain the resulting paths.
   Guarantees at least half the optimal path weight.
 * greedy_max_path: repeatedly commit the heaviest edge that still extends to
   a Hamiltonian path.
-
-A 2/3-approximation slot would drop in behind the same signature
-(``WeightMatrix -> PathSolution``); the exact solver stands in for it at the
-instance sizes this package targets.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from math import comb
 
 import numpy as np
 
-from .graph import WeightMatrix, cycle_edges, max_cycle_cover
+from .graph import WeightMatrix, cycle_edges, max_cycle_cover, path_overlaps
 
 
 class SolverTag(enum.Enum):
@@ -39,6 +37,11 @@ class SolverTag(enum.Enum):
 
 class SolverLimitError(ValueError):
     """The exact solver was asked for more nodes than its configured limit."""
+
+
+class TableSizeError(SolverLimitError):
+    """The exact solver's table would exceed its fixed memory ceiling, which
+    no node limit overrides."""
 
 
 @dataclass(frozen=True)
@@ -58,11 +61,10 @@ class PathSolution:
         return Fraction(1) if self.solver_tag is SolverTag.EXACT else Fraction(1, 2)
 
 
-def _path_weight(w, order) -> int:
-    return sum(int(w[order[t]][order[t + 1]]) for t in range(len(order) - 1))
-
-
 DEFAULT_EXACT_LIMIT = 16
+# Largest Held-Karp table, 2^n * n * 8 bytes, the exact solver allocates:
+# 738 MB at n=22, 1.5 GB at n=23.
+_MAX_TABLE_BYTES = 1 << 30
 # Held-Karp table cells that hold no path; adding a few weights to it can
 # neither overflow int64 nor reach the weight of a real path.
 _UNSET = np.iinfo(np.int64).min // 2
@@ -103,18 +105,20 @@ def exact_max_path(m: WeightMatrix, limit: int = DEFAULT_EXACT_LIMIT) -> PathSol
     a block of masks and every ``first`` per numpy call.  Time is
     O(2^n n^2); the int64 table takes 2^n * n * 8 bytes (8 MB at n=16), and
     no temporary holds more cells than the table or than 2^14 (128 KB).
-    ``limit`` is checked before anything is allocated.  Weights must stay
-    below 2^58 / n in absolute value, far above any overlap length.
+    ``limit`` and the 1 GiB table ceiling are checked before anything is
+    allocated.  Weights must stay below 2^58 / n in absolute value, far
+    above any overlap length.
 
     Ties resolve to the lexicographically smallest node order: the path is
     rebuilt from the front, always taking the smallest node that keeps the
     best weight.
     """
     n = m.n
-    if n == 0:
-        raise ValueError("empty matrix")
     if n > limit:
         raise SolverLimitError(f"exact solver limit: n={n} exceeds {limit}")
+    if (n << n) * 8 > _MAX_TABLE_BYTES:
+        raise TableSizeError(f"exact solver table for n={n} would exceed "
+                             f"{_MAX_TABLE_BYTES >> 30} GiB")
     w = m.w
     size = 1 << n
     masks, bit, edge_cells, layer_ends = _subset_layout(n)
@@ -155,8 +159,6 @@ def cycle_cover_path(m: WeightMatrix) -> PathSolution:
     smallest node is dropped.
     """
     n = m.n
-    if n == 0:
-        raise ValueError("empty matrix")
     if n == 1:
         return PathSolution(order=(0,), weight=0,
                             solver_tag=SolverTag.CYCLE_COVER_HALF)
@@ -173,15 +175,13 @@ def cycle_cover_path(m: WeightMatrix) -> PathSolution:
         pieces.append(piece)
     pieces.sort(key=min)
     order = tuple(node for piece in pieces for node in piece)
-    return PathSolution(order=order, weight=_path_weight(m.w, order),
+    return PathSolution(order=order, weight=sum(path_overlaps(m, order)),
                         solver_tag=SolverTag.CYCLE_COVER_HALF)
 
 
 def greedy_max_path(m: WeightMatrix) -> PathSolution:
     """Heaviest-feasible-edge greedy; ties broken by smallest (i, j) pair."""
     n = m.n
-    if n == 0:
-        raise ValueError("empty matrix")
     w = m.w
     edges = sorted(((i, j) for i in range(n) for j in range(n) if i != j),
                    key=lambda e: (-int(w[e[0], e[1]]), e))
@@ -211,5 +211,20 @@ def greedy_max_path(m: WeightMatrix) -> PathSolution:
     while node != -1:
         order.append(node)
         node = succ[node]
-    return PathSolution(order=tuple(order), weight=_path_weight(w, order),
+    return PathSolution(order=tuple(order), weight=sum(path_overlaps(m, order)),
                         solver_tag=SolverTag.GREEDY)
+
+
+def max_path(m: WeightMatrix, solver: SolverTag = SolverTag.EXACT,
+             limit: int = DEFAULT_EXACT_LIMIT) -> PathSolution:
+    """The path that ``solver`` finds on ``m``; the only code that maps a
+    ``SolverTag`` to its function and hands ``limit`` to the exact solver.
+    Solvers are read from this module's namespace at call time, so a
+    rebound ``exact_max_path`` is the one that runs."""
+    if solver is SolverTag.EXACT:
+        return exact_max_path(m, limit=limit)
+    if solver is SolverTag.CYCLE_COVER_HALF:
+        return cycle_cover_path(m)
+    if solver is SolverTag.GREEDY:
+        return greedy_max_path(m)
+    raise ValueError(f"unknown path solver: {solver!r}")

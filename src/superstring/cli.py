@@ -12,8 +12,9 @@ with exact rationals rendered as "p/q" strings.  Reports are byte-identical
 across repeated runs with the same seed, except for the timestamp and the
 per-result ms timings.  An input that normalizes to one string is solved
 by that string, with a warning.  Exit codes: 0 success, 1 unreadable or
-empty input, out-of-range ``gen`` numbers or a negative ``verify --trials``,
-2 exact-solver limit exceeded, 3 internal validation failure.
+empty input, out-of-range ``gen`` numbers, a negative ``verify --trials`` or
+a ``verify --workers`` below 1, 2 exact-solver node limit or table ceiling
+exceeded, 3 internal validation failure.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 import time
@@ -28,13 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 
 from . import bounds
-from .atsp import (
-    DEFAULT_EXACT_LIMIT,
-    SolverLimitError,
-    cycle_cover_path,
-    exact_max_path,
-    greedy_max_path,
-)
+from .atsp import DEFAULT_EXACT_LIMIT, SolverLimitError, SolverTag, TableSizeError
 from .graph import DegenerateInstanceError, Instance, normalize
 from .pipeline import (
     exact_superstring,
@@ -71,14 +67,6 @@ def read_instance_file(path: str) -> list[str]:
     return strings
 
 
-def _path_solver(name: str, exact_limit: int):
-    if name == "exact":
-        solver = lambda m: exact_max_path(m, limit=exact_limit)  # noqa: E731
-        solver.__name__ = "exact_max_path"
-        return solver
-    return {"half": cycle_cover_path, "greedy": greedy_max_path}[name]
-
-
 def _report_skeleton(args, seed=None) -> dict:
     return {
         "command": " ".join(args),
@@ -106,11 +94,11 @@ def _timed(fn, *a, **kw):
 _ALGOS = ("combined", "s1", "s2", "greedy", "exact")
 
 
-def _run_algo(algo: str, inst: Instance, path_solver, exact_limit: int):
+def _run_algo(algo: str, inst: Instance, path_solver: SolverTag, exact_limit: int):
     if algo == "combined":
-        return solve_combined(inst, path_solver)
+        return solve_combined(inst, path_solver, exact_limit)
     if algo == "s1":
-        return solve_s1(inst, path_solver)
+        return solve_s1(inst, path_solver, exact_limit)
     if algo == "s2":
         return solve_s2(inst)
     if algo == "greedy":
@@ -168,8 +156,8 @@ def cmd_solve(args, argv) -> int:
     for reason, s in removed:
         print(f"warning: dropped {reason} string {s!r}", file=sys.stderr)
     report["instance"] = {"n": len(inst), "total_length": inst.total_length}
-    solver = _path_solver(args.path_solver, args.exact_limit)
-    sol, ms = _timed(_run_algo, args.algo, inst, solver, args.exact_limit)
+    sol, ms = _timed(_run_algo, args.algo, inst, SolverTag(args.path_solver),
+                     args.exact_limit)
     if not validate_superstring(inst, sol.text):
         print("internal error: output failed validation", file=sys.stderr)
         return 3
@@ -196,7 +184,7 @@ def cmd_compare(args, argv) -> int:
     for reason, s in removed:
         print(f"warning: dropped {reason} string {s!r}", file=sys.stderr)
     report["instance"] = {"n": len(inst), "total_length": inst.total_length}
-    solver = _path_solver(args.path_solver, args.exact_limit)
+    solver = SolverTag(args.path_solver)
     checks = {"run": 0, "held": 0, "failed": 0, "violations": []}
     for algo in _compare_algos(len(inst), args.exact_limit):
         sol, ms = _timed(_run_algo, algo, inst, solver, args.exact_limit)
@@ -226,8 +214,9 @@ def _campaign_chunk(task):
 
 def _run_fuzz(name: str, trials: int, seed: int, workers: int):
     """One campaign over ``trials`` trials, split into at most ``workers``
-    chunks, one process per chunk; a single chunk runs in this process."""
-    chunks = min(workers, trials)
+    chunks and no more than this machine has CPUs, one process per chunk;
+    a single chunk runs in this process."""
+    chunks = min(workers, trials, os.cpu_count() or 1)
     if chunks <= 1:
         return [_campaign_chunk((name, seed, 0, trials))]
     step = -(-trials // chunks)
@@ -243,6 +232,9 @@ def _run_fuzz(name: str, trials: int, seed: int, workers: int):
 def cmd_verify(args, argv) -> int:
     if args.trials < 0:
         print("error: --trials must be at least 0", file=sys.stderr)
+        return 1
+    if args.workers < 1:
+        print("error: --workers must be at least 1", file=sys.stderr)
         return 1
     report = _report_skeleton(argv, seed=args.seed)
     campaigns = []
@@ -353,9 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--exact-limit", type=int, default=DEFAULT_EXACT_LIMIT,
                        help="node limit for the exact solvers (numpy subset "
                             "DP: time grows as 2^n*n^2, memory as 2^n*n*8 "
-                            "bytes, 8 MB at 16)")
-        p.add_argument("--path-solver", choices=("exact", "half", "greedy"),
-                       default="exact")
+                            "bytes, 8 MB at 16; refused above 1 GiB, n > 22)")
+        p.add_argument("--path-solver", choices=[t.value for t in SolverTag],
+                       default=SolverTag.EXACT.value)
 
     p = sub.add_parser("solve", help="compute one superstring")
     p.add_argument("input", help="instance file, one string per line")
@@ -399,6 +391,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except TableSizeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except SolverLimitError as exc:
         print(f"error: {exc} (raise --exact-limit to override)", file=sys.stderr)
         return 2

@@ -127,13 +127,13 @@ def normalize(raw: Sequence[str]) -> tuple[Instance, list[tuple[str, str]]]:
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Square edge weights ``w``; the node count ``n`` is derived from it."""
+    """Square edge weights ``w`` on n >= 1 nodes; ``n`` is derived from it."""
 
     w: np.ndarray
 
     def __post_init__(self):
-        if self.w.ndim != 2 or self.w.shape[0] != self.w.shape[1]:
-            raise ValueError("weight matrix must be n x n")
+        if self.w.ndim != 2 or self.w.shape[0] != self.w.shape[1] or not self.w.size:
+            raise ValueError("weight matrix must be n x n with n >= 1")
 
     @property
     def n(self) -> int:
@@ -230,6 +230,12 @@ def max_cycle_cover(m: WeightMatrix) -> CycleCover:
     if any(cover.perm[i] == i for i in range(m.n)):
         raise AssertionError("assignment picked a banned loop edge")
     return cover
+
+
+def path_overlaps(m: WeightMatrix, order: Sequence[int]) -> list[int]:
+    """The weights ``m.w[order[t], order[t+1]]`` of consecutive nodes."""
+    order = list(order)
+    return m.w[order[:-1], order[1:]].tolist()
 
 
 def cycle_edges(cycle: Sequence[int]) -> list[tuple[int, int]]:

@@ -10,23 +10,24 @@ The main route reduces the instance to a small set of *representatives*:
 3. solve a maximum-path problem on the overlap graph of the representatives
    and merge them along the resulting order.
 
-``solve_s1`` runs this with a pluggable path solver, ``solve_s2`` with the
-cycle-cover/drop-lightest-edge solver, and ``solve_combined`` returns the
-shorter of the two.  ``greedy_superstring`` and ``exact_superstring`` are the
-classic baselines.  All of them read the instance's overlap matrix and cover
-(``Instance.overlap``, ``Instance.cover``), which each instance computes once.
+``solve_s1`` runs this with the path solver named by a ``SolverTag``,
+``solve_s2`` with the cycle-cover/drop-lightest-edge solver, and
+``solve_combined`` returns the shorter of the two.  ``greedy_superstring``
+and ``exact_superstring`` are the classic baselines.  All of them read the
+instance's overlap matrix and cover (``Instance.overlap``,
+``Instance.cover``), which each instance computes once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import words
-from .atsp import DEFAULT_EXACT_LIMIT, PathSolution, cycle_cover_path, exact_max_path
-from .graph import Instance, cycle_edges, overlap_matrix
+from .atsp import DEFAULT_EXACT_LIMIT, SolverTag, max_path
+from .graph import Instance, cycle_edges, overlap_matrix, path_overlaps
 
 
 @dataclass(frozen=True)
@@ -64,21 +65,12 @@ class Solution:
         return len(self.text)
 
 
-PathSolver = Callable[..., PathSolution]
-
-
 def _merge_texts(texts: Sequence[str], overlaps: Sequence[int]) -> str:
     """pref(t1,t2) pref(t2,t3) ... t_last: the texts joined in order, each
     overlapping the next by the given amount, ``overlaps[t] = ov(t_t, t_t+1)``."""
     out = [t[:len(t) - o] for t, o in zip(texts, overlaps)]
     out.append(texts[-1])
     return "".join(out)
-
-
-def _path_overlaps(w: np.ndarray, order: Sequence[int]) -> list[int]:
-    """The overlaps ``w[order[t], order[t+1]]`` between consecutive nodes."""
-    order = list(order)
-    return w[order[:-1], order[1:]].tolist()
 
 
 def _solution(inst: Instance, order, text, algorithm) -> Solution:
@@ -147,27 +139,30 @@ def _appearance_order(inst: Instance, text: str) -> tuple[int, ...]:
     return tuple(i for _, i in sorted(pos))
 
 
-def solve_s1(inst: Instance, path_solver: PathSolver = exact_max_path) -> Solution:
-    """Cycle-cover reduction followed by a max-path solve over representatives."""
+def solve_s1(inst: Instance, path_solver: SolverTag = SolverTag.EXACT,
+             limit: int = DEFAULT_EXACT_LIMIT) -> Solution:
+    """Cycle-cover reduction followed by a max-path solve over representatives;
+    ``limit`` is the exact path solver's node limit."""
     reps = representatives(inst)
     if len(reps) == 1:
         text = reps[0].text
     else:
         m = overlap_matrix([r.text for r in reps])
-        order = path_solver(m).order
-        text = _merge_texts([reps[i].text for i in order], _path_overlaps(m.w, order))
-    algorithm = f"s1[{getattr(path_solver, '__name__', 'custom')}]"
-    return _solution(inst, _appearance_order(inst, text), text, algorithm)
+        order = max_path(m, path_solver, limit).order
+        text = _merge_texts([reps[i].text for i in order], path_overlaps(m, order))
+    return _solution(inst, _appearance_order(inst, text), text,
+                     f"s1[{path_solver.value}]")
 
 
 def solve_s2(inst: Instance) -> Solution:
     """Same reduction, with the drop-lightest-cycle-edge path construction."""
-    return replace(solve_s1(inst, cycle_cover_path), algorithm="s2")
+    return replace(solve_s1(inst, SolverTag.CYCLE_COVER_HALF), algorithm="s2")
 
 
-def solve_combined(inst: Instance, path_solver: PathSolver = exact_max_path) -> Solution:
+def solve_combined(inst: Instance, path_solver: SolverTag = SolverTag.EXACT,
+                   limit: int = DEFAULT_EXACT_LIMIT) -> Solution:
     """The shorter of solve_s1 and solve_s2 (ties favour s1)."""
-    s1 = solve_s1(inst, path_solver)
+    s1 = solve_s1(inst, path_solver, limit)
     s2 = solve_s2(inst)
     winner = s1 if s1.length <= s2.length else s2
     return replace(winner, algorithm=f"combined({winner.algorithm})")
@@ -204,15 +199,16 @@ def greedy_superstring(inst: Instance) -> Solution:
         ov[keep, others] = base[chains[keep][-1], [chains[k][0] for k in others]]
         ov[others, keep] = base[[chains[k][-1] for k in others], chains[keep][0]]
     (order,) = chains.values()
-    text = _merge_texts([inst.strings[i] for i in order], _path_overlaps(base, order))
+    text = _merge_texts([inst.strings[i] for i in order],
+                        path_overlaps(inst.overlap, order))
     return _solution(inst, _appearance_order(inst, text), text, "greedy")
 
 
 def exact_superstring(inst: Instance, limit: int = DEFAULT_EXACT_LIMIT) -> Solution:
     """Optimal superstring via the exact max-path solver on the overlap graph."""
     m = inst.overlap
-    order = exact_max_path(m, limit=limit).order
-    text = _merge_texts([inst.strings[i] for i in order], _path_overlaps(m.w, order))
+    order = max_path(m, limit=limit).order
+    text = _merge_texts([inst.strings[i] for i in order], path_overlaps(m, order))
     return _solution(inst, order, text, "exact")
 
 

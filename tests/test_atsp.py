@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
+from superstring import atsp
 from superstring.atsp import (
     SolverLimitError,
     SolverTag,
     cycle_cover_path,
     exact_max_path,
     greedy_max_path,
+    max_path,
 )
 from superstring.graph import WeightMatrix, overlap_matrix
 
@@ -62,6 +64,23 @@ def test_exact_limit_refuses_before_allocating():
     # before allocating can raise here
     with pytest.raises(SolverLimitError):
         exact_max_path(matrix([[1] * 40 for _ in range(40)]))
+
+
+class TableBuilt(Exception):
+    pass
+
+
+def test_exact_table_ceiling_refuses_before_allocating(monkeypatch):
+    # 2^23 * 23 * 8 bytes is above the 1 GiB ceiling and 2^22 * 22 * 8 below
+    # it; the stand-in layout raises where the table would be built
+    def no_table(n):
+        raise TableBuilt(n)
+
+    monkeypatch.setattr(atsp, "_subset_layout", no_table)
+    with pytest.raises(SolverLimitError):
+        exact_max_path(matrix([[0] * 23 for _ in range(23)]), limit=30)
+    with pytest.raises(TableBuilt):
+        exact_max_path(matrix([[0] * 22 for _ in range(22)]), limit=22)
 
 
 def test_exact_tie_breaks_to_lexicographically_smallest_order():
@@ -167,6 +186,18 @@ def test_single_node_and_empty_matrix(solver, tag, guarantee):
     assert sol.ratio_guarantee == guarantee
     with pytest.raises(ValueError):
         solver(WeightMatrix(np.zeros((0, 0), dtype=np.int64)))
+
+
+@given(small_matrices)
+@settings(max_examples=60, deadline=None)
+def test_max_path_runs_the_solver_its_tag_names(rows):
+    m = matrix(rows)
+    solvers = {SolverTag.EXACT: exact_max_path,
+               SolverTag.CYCLE_COVER_HALF: cycle_cover_path,
+               SolverTag.GREEDY: greedy_max_path}
+    assert set(solvers) == set(SolverTag)
+    for tag, solver in solvers.items():
+        assert max_path(m, tag) == solver(m)
 
 
 @given(small_matrices)

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from superstring import cli
+from superstring import atsp, cli
+from superstring.atsp import SolverTag
 from superstring.graph import overlap_matrix
 
 
@@ -59,6 +60,15 @@ def test_solve_each_path_solver_runs(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("tag", list(SolverTag))
+def test_solve_names_the_path_solver_it_ran(tag, tmp_path, capsys):
+    # three cycles in the min cover, so s1 runs its path solver
+    path = write_instance(tmp_path, ["abab" * 3, "aab" * 3, "aaab" * 3])
+    assert cli.main(["solve", path, "--algo", "s1",
+                     "--path-solver", tag.value]) == 0
+    assert f"algorithm: s1[{tag.value}]" in capsys.readouterr().out.splitlines()
+
+
 def test_solve_single_survivor_warns_but_succeeds(tmp_path, capsys):
     path = write_instance(tmp_path, ["abc", "b", "abc"])
     assert cli.main(["solve", path]) == 0
@@ -95,7 +105,21 @@ def test_solve_exact_limit_exit_2(tmp_path, capsys):
     path = write_instance(tmp_path, strings)
     assert cli.main(["solve", path, "--algo", "exact",
                      "--exact-limit", "4"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == (
+        "error: exact solver limit: n=18 exceeds 4 (raise --exact-limit to override)\n")
+
+
+def test_solve_exact_table_ceiling_exit_2_without_hint(tmp_path, monkeypatch, capsys):
+    def no_table(n):
+        raise AssertionError("the table ceiling must be checked first")
+
+    monkeypatch.setattr(atsp, "_subset_layout", no_table)
+    strings = [format(i, "05b") for i in range(23)]  # equal length: none is dropped
+    path = write_instance(tmp_path, strings)
+    assert cli.main(["solve", path, "--algo", "exact",
+                     "--exact-limit", "30"]) == 2
+    assert capsys.readouterr().err == (
+        "error: exact solver table for n=23 would exceed 1 GiB\n")
 
 
 # ------------------------------------------------------------------- compare
@@ -227,6 +251,7 @@ class RecordingPool:
 def test_verify_starts_no_more_processes_than_chunks(
         trials, workers, pools, monkeypatch, capsys):
     sizes = []
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(cli, "ProcessPoolExecutor",
                         lambda max_workers: RecordingPool(max_workers, sizes))
     base = ["verify", "--suite", "pairs", "--trials", str(trials), "--seed", "2"]
@@ -236,6 +261,30 @@ def test_verify_starts_no_more_processes_than_chunks(
     assert cli.main(base) == 0
     assert capsys.readouterr() == parallel
     assert "all checks held" in parallel.out
+
+
+@pytest.mark.parametrize("cpus, pools", [(2, [2]), (1, []), (None, [])])
+def test_verify_starts_no_more_processes_than_cpus(cpus, pools, monkeypatch, capsys):
+    # a fake pool: a large --workers value must never reach a real one
+    sizes = []
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                        lambda max_workers: RecordingPool(max_workers, sizes))
+    base = ["verify", "--suite", "pairs", "--trials", "8", "--seed", "2"]
+    assert cli.main(base + ["--workers", "1000"]) == 0
+    parallel = capsys.readouterr()
+    assert sizes == pools
+    assert cli.main(base) == 0
+    assert capsys.readouterr() == parallel
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_verify_rejects_workers_below_one(workers, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", None)  # never reached
+    assert cli.main(["verify", "--trials", "4", "--workers", workers]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == "error: --workers must be at least 1\n"
 
 
 def test_verify_rejects_negative_trials(monkeypatch, capsys):

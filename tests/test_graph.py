@@ -154,7 +154,7 @@ def test_equal_instances_each_compute_their_own_reduction(monkeypatch):
         a.overlap.w[0, 0] = 1
 
 
-@pytest.mark.parametrize("shape", [(2, 3), (3,), ()])
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (), (0, 0)])
 def test_weight_matrix_must_be_square(shape):
     with pytest.raises(ValueError):
         WeightMatrix(np.zeros(shape, dtype=np.int64))

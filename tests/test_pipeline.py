@@ -8,14 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import brute
-from superstring import cli, graph, words
-from superstring.atsp import (
-    DEFAULT_EXACT_LIMIT,
-    SolverLimitError,
-    cycle_cover_path,
-    exact_max_path,
-    greedy_max_path,
-)
+from superstring import atsp, cli, graph, words
+from superstring.atsp import DEFAULT_EXACT_LIMIT, SolverLimitError, SolverTag, exact_max_path
 from superstring.graph import DegenerateInstanceError, Instance, normalize
 from superstring.pipeline import (
     _appearance_order,
@@ -363,9 +357,24 @@ def test_all_solvers_validate_and_relate():
 
 def test_solvers_with_alternative_path_backends():
     inst = inst_of("abab", "babb", "bba", "aab")
-    for solver in (exact_max_path, cycle_cover_path, greedy_max_path):
-        sol = solve_s1(inst, path_solver=solver)
+    for tag in SolverTag:
+        sol = solve_s1(inst, path_solver=tag)
         assert validate_superstring(inst, sol.text)
+        assert sol.algorithm == f"s1[{tag.value}]"
+
+
+def test_solve_s1_default_reaches_a_rebound_exact_solver(monkeypatch):
+    calls = []
+
+    def recording(m, limit):
+        calls.append((m.n, limit))
+        return exact_max_path(m, limit=limit)
+
+    monkeypatch.setattr(atsp, "exact_max_path", recording)
+    inst = inst_of("abab" * 3, "aab" * 3, "aaab" * 3)
+    assert len(inst.cover.cycles) == 3
+    solve_s1(inst)
+    assert calls == [(3, DEFAULT_EXACT_LIMIT)]
 
 
 def test_readme_quickstart_prints_what_it_claims(capsys):
