@@ -1,6 +1,7 @@
-"""Command-line front end: solve, compare, verify, gen.
+r"""Command-line front end: solve, compare, verify, gen.
 
-Instance files are UTF-8 text with one string per line; ``#`` starts a
+Instance files are UTF-8 text with one string per line; lines end at
+``\n`` (``\r\n`` and ``\r`` count as ``\n``) and nowhere else, ``#`` starts a
 comment line, blank lines are ignored, and strings must consist of printable
 non-whitespace ASCII.  JSON reports have the flat shape
 
@@ -12,9 +13,10 @@ with exact rationals rendered as "p/q" strings.  Reports are byte-identical
 across repeated runs with the same seed, except for the timestamp and the
 per-result ms timings.  An input that normalizes to one string is solved
 by that string, with a warning.  Exit codes: 0 success, 1 unreadable or
-empty input, out-of-range ``gen`` numbers, a negative ``verify --trials`` or
-a ``verify --workers`` below 1, 2 exact-solver node limit or table ceiling
-exceeded, 3 internal validation failure.
+empty input, an output file that cannot be written, out-of-range ``gen``
+numbers, a negative ``verify --trials`` or a ``verify --workers`` below 1,
+2 exact-solver node limit or table ceiling exceeded, 3 internal validation
+failure.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from . import bounds
 from .atsp import DEFAULT_EXACT_LIMIT, SolverLimitError, SolverTag, TableSizeError
 from .graph import DegenerateInstanceError, Instance, normalize
 from .pipeline import (
+    Solution,
     exact_superstring,
     greedy_superstring,
     solve_combined,
@@ -45,7 +48,8 @@ _PRINTABLE = set(range(33, 127))
 
 
 class InputError(Exception):
-    pass
+    """An input file that cannot be read or parsed, or an output file that
+    cannot be written."""
 
 
 def read_instance_file(path: str) -> list[str]:
@@ -55,7 +59,7 @@ def read_instance_file(path: str) -> list[str]:
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     strings = []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    for lineno, line in enumerate(raw.split("\n"), start=1):
         if not line or line.startswith("#"):
             continue
         if any(ord(c) not in _PRINTABLE for c in line):
@@ -78,11 +82,17 @@ def _report_skeleton(args, seed=None) -> dict:
     }
 
 
-def _write_json(path: str | None, report: dict) -> None:
-    if path:
+def _write(path: str, text: str) -> None:
+    try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_json(path: str | None, obj: dict) -> None:
+    if path:
+        _write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _timed(fn, *a, **kw):
@@ -111,30 +121,6 @@ def _result_entry(algo: str, sol, ms: float) -> dict:
             "order": list(sol.order), "ms": round(ms, 3)}
 
 
-def _load_normalized(path: str):
-    strings = read_instance_file(path)
-    return normalize(strings)
-
-
-def _single_string(exc: DegenerateInstanceError, algos, args, report) -> str | None:
-    """The one string an input normalizes to, after writing its report with
-    one trivial result per algorithm; None after an error for no string."""
-    if len(exc.survivors) != 1:
-        print("error: no usable strings in input", file=sys.stderr)
-        return None
-    text = exc.survivors[0]
-    print("warning: instance degenerates to a single string", file=sys.stderr)
-    report["instance"] = {"n": 1, "total_length": len(text)}
-    report["results"] = [{"algo": algo, "length": len(text), "overlap": 0,
-                          "order": [0], "ms": 0.0} for algo in algos]
-    _write_json(args.json, report)
-    return text
-
-
-def _compare_algos(n: int, exact_limit: int) -> list[str]:
-    return [a for a in _ALGOS if a != "exact" or n <= exact_limit]
-
-
 def _print_table(results: list[dict]) -> None:
     best = min(r["length"] for r in results)
     print(f"{'algorithm':<10} {'length':>7} {'overlap':>8} {'ratio':>7}")
@@ -143,60 +129,49 @@ def _print_table(results: list[dict]) -> None:
               f"{r['length'] / best:>7.3f}")
 
 
-def cmd_solve(args, argv) -> int:
-    report = _report_skeleton(argv)
+def cmd_run(args, argv) -> int:
+    """``solve`` runs ``--algo`` and prints its text; ``compare`` runs every
+    algorithm, ``exact`` only up to ``--exact-limit`` nodes, and prints a
+    table.  Each text is validated (exit 3 on failure) before the report is
+    written.  An input that normalizes to one string is solved by that
+    string, with a warning, untimed and unvalidated."""
+    report, single = _report_skeleton(argv), None
     try:
-        inst, removed = _load_normalized(args.input)
+        inst, removed = normalize(read_instance_file(args.input))
+        n, total_length = len(inst), inst.total_length
     except DegenerateInstanceError as exc:
-        text = _single_string(exc, [args.algo], args, report)
-        if text is None:
-            return 1
-        print(text)
-        return 0
+        # normalize keeps the longest of read_instance_file's strings
+        [single], removed = exc.survivors, ()
+        n, total_length = 1, len(single)
+        print("warning: instance degenerates to a single string", file=sys.stderr)
     for reason, s in removed:
         print(f"warning: dropped {reason} string {s!r}", file=sys.stderr)
-    report["instance"] = {"n": len(inst), "total_length": inst.total_length}
-    sol, ms = _timed(_run_algo, args.algo, inst, SolverTag(args.path_solver),
-                     args.exact_limit)
-    if not validate_superstring(inst, sol.text):
-        print("internal error: output failed validation", file=sys.stderr)
-        return 3
-    report["verification"] = {"run": 1, "held": 1, "failed": 0, "violations": []}
-    report["results"] = [_result_entry(args.algo, sol, ms)]
+    report["instance"] = {"n": n, "total_length": total_length}
+    if args.command == "solve":
+        algos = [args.algo]
+    else:
+        algos = [a for a in _ALGOS if a != "exact" or n <= args.exact_limit]
+    solver, checks = SolverTag(args.path_solver), report["verification"]
+    for algo in algos:
+        if single is not None:
+            sol, ms = Solution((0,), single, 0, algo), 0.0
+        else:
+            sol, ms = _timed(_run_algo, algo, inst, solver, args.exact_limit)
+            checks["run"] += 1
+            if not validate_superstring(inst, sol.text):
+                print("internal error: output failed validation", file=sys.stderr)
+                return 3
+            checks["held"] += 1
+        report["results"].append(_result_entry(algo, sol, ms))
     _write_json(args.json, report)
-    print(sol.text)
-    print(f"algorithm: {sol.algorithm}")
-    print(f"length: {sol.length}  total_overlap: {sol.total_overlap}")
-    print(f"order: {' '.join(map(str, sol.order))}")
-    return 0
-
-
-def cmd_compare(args, argv) -> int:
-    report = _report_skeleton(argv)
-    try:
-        inst, removed = _load_normalized(args.input)
-    except DegenerateInstanceError as exc:
-        algos = _compare_algos(1, args.exact_limit)
-        if _single_string(exc, algos, args, report) is None:
-            return 1
+    if args.command == "compare":
         _print_table(report["results"])
         return 0
-    for reason, s in removed:
-        print(f"warning: dropped {reason} string {s!r}", file=sys.stderr)
-    report["instance"] = {"n": len(inst), "total_length": inst.total_length}
-    solver = SolverTag(args.path_solver)
-    checks = {"run": 0, "held": 0, "failed": 0, "violations": []}
-    for algo in _compare_algos(len(inst), args.exact_limit):
-        sol, ms = _timed(_run_algo, algo, inst, solver, args.exact_limit)
-        checks["run"] += 1
-        if not validate_superstring(inst, sol.text):
-            print("internal error: output failed validation", file=sys.stderr)
-            return 3
-        checks["held"] += 1
-        report["results"].append(_result_entry(algo, sol, ms))
-    report["verification"] = checks
-    _print_table(report["results"])
-    _write_json(args.json, report)
+    print(sol.text)
+    if single is None:
+        print(f"algorithm: {sol.algorithm}")
+        print(f"length: {sol.length}  total_overlap: {sol.total_overlap}")
+        print(f"order: {' '.join(map(str, sol.order))}")
     return 0
 
 
@@ -320,13 +295,9 @@ def cmd_gen(args, argv) -> int:
             return 1
         strings = list(inst.strings)
         header = f"# family=random n={args.n} seed={args.seed}"
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        fh.write("\n".join(strings) + "\n")
+    _write(args.output, "\n".join([header, *strings]) + "\n")
     if sidecar is not None:
-        with open(args.output + ".expected.json", "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.output + ".expected.json", sidecar)
     print(f"wrote {len(strings)} strings to {args.output}")
     return 0
 
@@ -353,12 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="instance file, one string per line")
     p.add_argument("--algo", choices=_ALGOS, default="combined")
     add_common(p)
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("compare", help="run all algorithms and tabulate")
     p.add_argument("input")
     add_common(p)
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("verify", help="run bound-verification campaigns")
     p.add_argument("--suite", choices=_SUITES, default="all")

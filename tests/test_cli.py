@@ -94,6 +94,24 @@ def test_solve_rejects_nonascii(tmp_path, capsys):
     assert "ASCII" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sep", ["\f", "\x85", "\u2028"],
+                         ids=["form-feed", "next-line", "line-separator"])
+def test_only_newline_ends_a_line(tmp_path, capsys, sep):
+    path = tmp_path / "inst.txt"
+    path.write_text(f"abab{sep}babb\nbba\n", encoding="utf-8")
+    assert cli.main(["solve", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}:1: strings must be printable non-whitespace ASCII\n")
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_crlf_and_cr_lines_still_solve(tmp_path, capsys, newline):
+    path = tmp_path / "inst.txt"
+    path.write_bytes(newline.join([b"# two strings", b"ab", b"ba", b""]))
+    assert cli.main(["solve", str(path), "--algo", "exact"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "aba"
+
+
 def test_solve_empty_input_exits_1(tmp_path, capsys):
     path = write_instance(tmp_path, ["# nothing here"])
     assert cli.main(["solve", path]) == 1
@@ -163,6 +181,32 @@ def test_failed_validation_exits_3_with_message(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert "internal error: output failed validation" in err.splitlines()
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lines", [["abab", "babb", "bba", "aab"],
+                                   ["abc", "b", "abc"]], ids=["four", "one"])
+def test_solve_reports_its_row_of_compare(tmp_path, capsys, lines):
+    path = write_instance(tmp_path, lines)
+    out = str(tmp_path / "r.json")
+    assert cli.main(["compare", path, "--json", out]) == 0
+    compare = scrub(load_json(out))
+    rows = {r["algo"]: r for r in compare["results"]}
+    assert list(rows) == list(cli._ALGOS)
+    reports = [compare]
+    for algo in cli._ALGOS:
+        assert cli.main(["solve", path, "--algo", algo, "--json", out]) == 0
+        solve = scrub(load_json(out))
+        assert solve["instance"] == compare["instance"]
+        assert solve["results"] == [rows[algo]]
+        reports.append(solve)
+    capsys.readouterr()
+    # the one string an input normalizes to is its own superstring, unvalidated
+    validated = compare["instance"]["n"] > 1
+    for report in reports:
+        checks = report["verification"]
+        assert checks["run"] == checks["held"] == (
+            len(report["results"]) if validated else 0)
+        assert (checks["failed"], checks["violations"]) == (0, [])
 
 
 def test_successive_main_calls_do_not_leak_arguments(tmp_path, capsys):
@@ -358,6 +402,20 @@ def test_gen_rejects_out_of_range_numbers(tmp_path, capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{inst}", "--json", "{out}"],
+    ["compare", "{inst}", "--json", "{out}"],
+    ["verify", "--suite", "pairs", "--trials", "1", "--json", "{out}"],
+    ["gen", "--family", "tight3", "-n", "1", "{out}"],
+], ids=lambda argv: argv[0])
+def test_unwritable_output_exits_1_without_traceback(tmp_path, capsys, argv):
+    inst = write_instance(tmp_path, ["abc", "bcd", "cde"])
+    out = str(tmp_path / "missing" / "r.json")
+    assert cli.main([a.format(inst=inst, out=out) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
 
 
 # ------------------------------------------------------------- determinism
