@@ -20,7 +20,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from math import comb
 
@@ -73,17 +72,28 @@ _UNSET = np.iinfo(np.int64).min // 2
 _BLOCK_CELLS = 1 << 14
 
 
-@lru_cache(maxsize=None)
-def _subset_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+_Layout = tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]
+# Subset layouts kept for reuse, n -> layout, only for n <= DEFAULT_EXACT_LIMIT:
+# about 1 MB in all.  A larger layout is rebuilt per call, a small cost next
+# to its DP, instead of staying in memory for the life of the process (32 MB
+# at n = 22).
+_LAYOUTS: dict[int, _Layout] = {}
+
+
+def _subset_layout(n: int) -> _Layout:
     """What the Held-Karp fill needs that depends on n alone.
 
     Every n-bit mask by ascending popcount (ascending value within one
     popcount), ``bit[f] = 1 << f``, the flat table cell of the path
     ``f -> j`` (of ``f`` alone where ``j == f``), and where each popcount's
     run of masks ends.  Building these takes more numpy calls than a small
-    DP itself, so they are kept for each n solved: read-only, 8 * 2^n bytes
-    plus O(n^2), 1/n of that n's table.
+    DP itself, so they are kept in ``_LAYOUTS`` for each n up to
+    ``DEFAULT_EXACT_LIMIT``: read-only, 8 * 2^n bytes plus O(n^2), 1/n of
+    that n's table.
     """
+    layout = _LAYOUTS.get(n)
+    if layout is not None:
+        return layout
     popcount = np.zeros(1, dtype=np.int8)
     for _ in range(n):
         popcount = np.concatenate((popcount, popcount + 1))
@@ -93,7 +103,10 @@ def _subset_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[in
               (nodes << n)[:, None] + (bit[:, None] | bit))
     for a in arrays:
         a.flags.writeable = False
-    return (*arrays, tuple(accumulate(comb(n, k) for k in range(n + 1))))
+    layout = (*arrays, tuple(accumulate(comb(n, k) for k in range(n + 1))))
+    if n <= DEFAULT_EXACT_LIMIT:
+        _LAYOUTS[n] = layout
+    return layout
 
 
 def exact_max_path(m: WeightMatrix, limit: int = DEFAULT_EXACT_LIMIT) -> PathSolution:

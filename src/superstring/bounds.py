@@ -51,8 +51,8 @@ class BoundReport:
 
     check_id: str
     inputs: str
-    lhs: Fraction
-    rhs: Fraction
+    lhs: int | Fraction
+    rhs: int | Fraction
     strict: bool
     applicable: bool
 
@@ -74,8 +74,10 @@ class BoundReport:
 
 
 def _report(check_id, inputs, lhs, rhs, strict=False, applicable=True) -> BoundReport:
-    return BoundReport(check_id=check_id, inputs=inputs, lhs=Fraction(lhs),
-                       rhs=Fraction(rhs), strict=strict, applicable=applicable)
+    """A report on exact ints or Fractions, stored as given: both render as
+    ``p/q`` through ``numerator`` and ``denominator``."""
+    return BoundReport(check_id=check_id, inputs=inputs, lhs=lhs, rhs=rhs,
+                       strict=strict, applicable=applicable)
 
 
 def _require_usable_pair(w1: NiceWord, w2: NiceWord) -> None:
@@ -167,19 +169,16 @@ def verify_rotation_positions(a: Node, b: Node) -> BoundReport:
     if not (l1 >= l2 and o12 >= l2):
         return _report("extreme_rotation_positions", ctx, 0, 0, applicable=False)
 
+    base1, ov = w1.word, x2[:o12]  # ov(x1, x2) is x2's prefix of length o12
     if w2.kind is RotationKind.MIN:
-        base1, ov = _order_flip(w1.word), _order_flip(words.overlap(x1, x2))
-    else:
-        base1, ov = w1.word, words.overlap(x1, x2)
+        base1, ov = _order_flip(base1), _order_flip(ov)
 
-    w12 = None
-    for r in range(l1):
-        rot = base1[r:] + base1[:r]
-        if words.w_string_prefix(rot, o12) == ov:
-            w12 = rot
-            break
-    if w12 is None:
+    # the earliest r with ov a prefix of rotation r repeated forever; a
+    # match at r < l1 fits in the repetitions searched
+    r = (base1 * (o12 // l1 + 2)).find(ov)
+    if not 0 <= r < l1:
         raise AssertionError("overlap is not a factor of the word's repetitions")
+    w12 = base1[r:] + base1[:r]
     imax = words.maximal_rotation_index(w12)
     imin = words.minimal_rotation_index(w12)
 

@@ -13,7 +13,8 @@ with exact rationals rendered as "p/q" strings.  Reports are byte-identical
 across repeated runs with the same seed, except for the timestamp and the
 per-result ms timings.  An input that normalizes to one string is solved
 by that string, with a warning.  Exit codes: 0 success, 1 unreadable or
-empty input, an output file that cannot be written, out-of-range ``gen``
+empty input, an output file that cannot be written (a ``--json`` file is
+tried before any work starts), out-of-range ``gen``
 numbers, a negative ``verify --trials`` or a ``verify --workers`` below 1,
 2 exact-solver node limit or table ceiling exceeded, 3 internal validation
 failure.
@@ -88,6 +89,20 @@ def _write(path: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def _check_writable(path: str) -> None:
+    """Fail as ``_write`` would, before any work is done, if ``path`` cannot
+    be opened for writing.  An existing file is left as it is; a file this
+    check creates is removed again."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+    if not existed:
+        os.remove(path)
 
 
 def _write_json(path: str | None, obj: dict) -> None:
@@ -358,6 +373,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "json", None):
+            _check_writable(args.json)
         return args.func(args, argv)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,12 +12,39 @@ maximal rotation ``w_max = pmax + pmin``, the nice rotation is ``w_max`` if
 ``|pmax| <= |pmin|`` and ``w_min`` otherwise.  The short piece's length,
 ``alpha = min(|pmax|, |pmin|)``, never exceeds ``|w| / 2`` and controls how
 much two repetitions of different nice words can overlap.
+
+The kernels run their inner loops in CPython's string search (``in``,
+``str.find``, ``str.split``, slice comparison), not in per-character Python
+loops:
+
+* Extreme rotations.  The least rotation starts at a longest cyclic run of
+  the smallest letter (the greatest rotation at one of the largest).
+  Doubling ``k`` while ``c * 2k in ww`` gives a power of two within a
+  factor of two of that length, and one ``split`` at ``c * k`` lists the
+  starts of all runs at least ``k`` long.  These candidates share a known
+  prefix; each round keeps those whose next characters are extreme while
+  the shared prefix at least doubles (candidate elimination, as in
+  Shiloach's canonization of circular strings, J. Algorithms 1981).  A
+  candidate at most the shared prefix's length after another one sits in a
+  periodic stretch and never wins, so only the first of each such cluster
+  is kept; that keeps the character work near O(n log n) even on inputs
+  such as ``("ab" * k) + "b"``.  ``nice_rotation`` finds both extremes in
+  one ``w + w``.
+* Overlaps.  The seed, a prefix of ``v`` that reaches past its leading
+  run of ``c = v[0]`` and is at least four letters long, finds the overlaps
+  at least as long as itself: they start at its occurrences in the tail of
+  ``u`` (``u.find``), at most one per run of ``c``, and each is confirmed by
+  one ``startswith``.  Shorter overlaps that go past the run are tried one
+  length at a time with ``endswith``; those within it are read off ``u``'s
+  trailing run of ``c``.  The cost is one C-level search of the tail plus a
+  few comparisons per seed occurrence.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import accumulate
 
 
 class RotationKind(enum.Enum):
@@ -104,39 +131,67 @@ def is_primitive(w: str) -> bool:
     return (w + w).find(w, 1) == len(w)
 
 
-def _least_shift(keys: list[int]) -> int:
-    """0-based start of the least rotation of ``keys``, the earliest on ties.
+# Each candidate-elimination round compares at least _MIN_STEP further
+# characters per candidate, and about _ROUND_CHARS in all while candidates
+# are few: a pass over the candidates costs far more than the characters it
+# compares, so few long rounds beat many short ones.
+_MIN_STEP = 16
+_ROUND_CHARS = 4096
 
-    Duval's Lyndon factorization (J. Algorithms 1983) over ``keys`` twice.
-    Each outer step scans one run of equal Lyndon factors starting at ``i``
-    and moves ``i`` past the run; the least rotation starts at the last run
-    start below ``n``.  Starting at a run's first factor rather than a later
-    equal one gives the earliest index when ``keys`` is periodic.
+
+def _extreme_start(w: str, ww: str, least: bool) -> int:
+    """0-based start of the least (``least``) or greatest rotation of ``w``,
+    the earliest on ties; ``ww == w + w``.
+
+    The extreme rotation starts with a longest run of the extreme letter
+    ``c``, so the starts of the runs at least ``k`` long, ``k`` the largest
+    power of two with ``c * k`` in ``ww``, are the first candidates.  Each
+    round compares the next characters after the shared prefix of
+    ``size`` letters and keeps the candidates whose characters are extreme,
+    ties included.  Then a candidate ``q`` that follows the one before it,
+    ``p``, by ``d = q - p <= size`` is dropped: the shared prefix makes the
+    cyclic text from ``p`` d-periodic up to at least ``q + size``.  Where
+    the period first breaks, the rotations at ``p``, ``q`` and ``q + d``
+    differ by the same two letters, so either ``p``'s rotation is as extreme
+    as ``q``'s and earlier, or ``q + d``'s is more extreme; ``q`` never
+    wins.  Of each cluster of close candidates only the first is left.
     """
-    n = len(keys)
-    s = keys + keys
-    i = start = 0
-    while i < n:
-        start = i
-        k, j = i, i + 1
-        while j < 2 * n and s[k] <= s[j]:
-            k = i if s[k] < s[j] else k + 1
-            j += 1
-        while i <= k:
-            i += j - k
-    return start
+    n = len(w)
+    c = min(w) if least else max(w)
+    k = 1
+    while 2 * k < n and c * (2 * k) in ww:
+        k *= 2
+    # Unless w == c * n (all rotations tie and 0 comes first), every run of
+    # c is shorter than 2k, so splitting at c * k finds each run at least k
+    # long exactly once, at its start below n; the longest runs are among
+    # them, and the shorter ones lose in the first round.
+    gaps = ww[:n + k - 1].split(c * k)
+    if len(gaps) == 2:
+        return len(gaps[0])
+    # run i starts after the pieces gaps[:i + 1] and the i runs between them
+    cands = list(accumulate([len(g) + k for g in gaps[:-1]], initial=-k))[1:]
+    size = k
+    while True:
+        nxt = min(size + max(size, _MIN_STEP, _ROUND_CHARS // len(cands)), n)
+        keys = [ww[p + size:p + nxt] for p in cands]
+        best = min(keys) if least else max(keys)
+        if nxt == n or keys.count(best) == 1:
+            return cands[keys.index(best)]
+        cands = [p for p, key in zip(cands, keys) if key == best]
+        size = nxt
+        cands = [cands[0], *[q for p, q in zip(cands, cands[1:]) if q - p > size]]
 
 
 def minimal_rotation_index(w: str) -> int:
     """1-based start of the lexicographically smallest rotation (smallest index on ties)."""
     _require_nonempty(w)
-    return _least_shift([ord(c) for c in w]) + 1
+    return _extreme_start(w, w + w, True) + 1
 
 
 def maximal_rotation_index(w: str) -> int:
     """1-based start of the lexicographically largest rotation (smallest index on ties)."""
     _require_nonempty(w)
-    return _least_shift([-ord(c) for c in w]) + 1
+    return _extreme_start(w, w + w, False) + 1
 
 
 def rotate(w: str, shift: int) -> str:
@@ -153,6 +208,11 @@ def maximal_rotation(w: str) -> str:
     return rotate(w, maximal_rotation_index(w) - 1)
 
 
+# Shortest prefix of v whose occurrences in u's tail give the overlaps at
+# least this long; any length from 1 to min(|u|, |v|) gives the same answers.
+_SEED = 4
+
+
 def overlap(u: str, v: str) -> str:
     """Longest suffix of ``u`` that is a prefix of ``v``.
 
@@ -164,10 +224,24 @@ def overlap(u: str, v: str) -> str:
     _require_nonempty(v)
     if u == v:
         return longest_border(u)
-    for k in range(min(len(u), len(v)), 0, -1):
+    m = min(len(u), len(v))
+    c = v[0]
+    run = m - len(v[:m].lstrip(c))  # v starts with c * run, run <= m
+    # The seed reaches past v's leading run, so it occurs at most once per
+    # run of c in u.  An overlap at least as long as the seed starts at an
+    # occurrence of it; the earliest confirmed one is the longest.
+    s = min(m, max(run + 1, _SEED))
+    seed = v[:s]
+    p = u.find(seed, len(u) - m)
+    while p >= 0:
+        if v.startswith(u[p:]):
+            return u[p:]
+        p = u.find(seed, p + 1)
+    for k in range(s - 1, run, -1):
         if u.endswith(v[:k]):
             return v[:k]
-    return ""
+    # what is left are overlaps c * k with k <= run: u's trailing run of c
+    return v[:run - len(u[len(u) - run:].rstrip(c))]
 
 
 def overlap_len(u: str, v: str) -> int:
@@ -186,18 +260,19 @@ def nice_rotation(w: str) -> NiceWord:
     ``|pmax| == |pmin|`` resolves to the maximal rotation.
     """
     _require_nonempty(w)
-    if not is_primitive(w):
-        raise ValueError("not primitive")
-    if len(w) == 1:
-        return NiceWord(word=w, kind=RotationKind.MAX, pmin_len=0)
     n = len(w)
-    imin = minimal_rotation_index(w) - 1
-    imax = maximal_rotation_index(w) - 1
+    ww = w + w
+    if ww.find(w, 1) != n:  # is_primitive, sharing ww
+        raise ValueError("not primitive")
+    if n == 1:
+        return NiceWord(word=w, kind=RotationKind.MAX, pmin_len=0)
+    imin = _extreme_start(w, ww, True)
+    imax = _extreme_start(w, ww, False)
     pmin_len = (imax - imin) % n
     if n - pmin_len <= pmin_len:
-        return NiceWord(word=rotate(w, imax), kind=RotationKind.MAX,
+        return NiceWord(word=ww[imax:imax + n], kind=RotationKind.MAX,
                         pmin_len=pmin_len)
-    return NiceWord(word=rotate(w, imin), kind=RotationKind.MIN,
+    return NiceWord(word=ww[imin:imin + n], kind=RotationKind.MIN,
                     pmin_len=pmin_len)
 
 

@@ -30,6 +30,19 @@ def max_rotation_index(w):
     return best_i + 1
 
 
+def nice_rotation(w):
+    """(word, kind, pmin_len) of a primitive w, |w| >= 2: the least rotation
+    is pmin + pmax and the greatest pmax + pmin, each piece running from one
+    extreme rotation's start to the other's; the nice rotation is the
+    greatest when |pmax| <= |pmin| and the least otherwise."""
+    n = len(w)
+    imin, imax = min_rotation_index(w) - 1, max_rotation_index(w) - 1
+    pmin_len = (imax - imin) % n
+    if n - pmin_len <= pmin_len:
+        return rotations(w)[imax], "MaxRotation", pmin_len
+    return rotations(w)[imin], "MinRotation", pmin_len
+
+
 def borders(w):
     """All proper borders of w, by explicit char-by-char comparison."""
     out = []

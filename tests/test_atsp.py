@@ -83,6 +83,18 @@ def test_exact_table_ceiling_refuses_before_allocating(monkeypatch):
         exact_max_path(matrix([[0] * 22 for _ in range(22)]), limit=22)
 
 
+def test_layouts_above_the_default_limit_are_not_kept():
+    # n = 17 is above DEFAULT_EXACT_LIMIT: its layout is built for the call
+    # and dropped, while a small n's layout stays for reuse
+    rng = random.Random(17)
+    w = [[rng.randint(0, 9) for _ in range(17)] for _ in range(17)]
+    exact_max_path(matrix(w), limit=17)
+    assert 17 not in atsp._LAYOUTS
+    exact_max_path(matrix([row[:5] for row in w[:5]]))
+    assert 5 in atsp._LAYOUTS
+    assert max(atsp._LAYOUTS) <= atsp.DEFAULT_EXACT_LIMIT
+
+
 def test_exact_tie_breaks_to_lexicographically_smallest_order():
     sol = exact_max_path(matrix([[0] * 4 for _ in range(4)]))
     assert sol.order == (0, 1, 2, 3)

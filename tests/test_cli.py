@@ -418,6 +418,41 @@ def test_unwritable_output_exits_1_without_traceback(tmp_path, capsys, argv):
     assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "{inst}", "--json", "{out}"],
+    ["compare", "{inst}", "--json", "{out}"],
+    ["verify", "--suite", "all", "--trials", "5", "--json", "{out}"],
+], ids=lambda argv: argv[0])
+def test_unwritable_json_is_refused_before_any_work(tmp_path, capsys,
+                                                    monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output was checked")
+
+    for name in ("_run_algo", "_run_fuzz"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.setattr(cli.bounds, "tight_sweep", no_work)
+    inst = write_instance(tmp_path, ["abc", "bcd", "cde"])
+    out = str(tmp_path / "missing" / "r.json")
+    assert cli.main([a.format(inst=inst, out=out) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # verify printed no campaign line
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_json_check_leaves_no_file_behind_a_refused_run(tmp_path, capsys):
+    strings = ["x" * (i + 1) + "y" * (18 - i) for i in range(18)]
+    inst = write_instance(tmp_path, strings)
+    fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+    kept.write_text("old report\n", encoding="utf-8")
+    for out in (fresh, kept):
+        assert cli.main(["solve", inst, "--algo", "exact",
+                         "--json", str(out)]) == 2
+    assert not fresh.exists()
+    assert kept.read_text(encoding="utf-8") == "old report\n"
+    capsys.readouterr()
+
+
 # ------------------------------------------------------------- determinism
 
 def test_repeated_runs_identical_json(tmp_path, capsys):

@@ -1,10 +1,13 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
+from superstring import words
+from superstring.bounds import gen_tight_2cycle, gen_tight_3cycle
 from superstring.words import (
     NiceWord,
     RotationKind,
@@ -19,12 +22,34 @@ from superstring.words import (
     nice_rotation,
     overlap,
     prefix_part,
+    rotate,
     rotations_equivalent,
     w_string_prefix,
 )
 
 texts = st.text(alphabet="ab", min_size=1, max_size=14)
 texts3 = st.text(alphabet="abc", min_size=1, max_size=14)
+# Alphabets that reach both ends of the code-point range, so that only the
+# order of the letters matters, never a sentinel value
+edge_alphabets = st.sampled_from(["ab", "abc", "\x00a", "a\U0010ffff",
+                                  "\x00\U0010ffff", "\x00a\U0010ffff"])
+
+
+def edge_texts(max_size):
+    """Plain random strings, and strings glued from repeated blocks (long
+    runs, near-periodic stretches), up to ``max_size`` letters."""
+    def over(letters):
+        block = st.text(alphabet=letters, min_size=1, max_size=6)
+        glued = st.lists(st.tuples(block, st.integers(min_value=1, max_value=30)),
+                         min_size=1, max_size=8).map(
+            lambda parts: "".join(b * e for b, e in parts)[:max_size])
+        return st.text(alphabet=letters, min_size=1, max_size=max_size) | glued
+    return edge_alphabets.flatmap(over)
+
+
+def nice_triple(w):
+    nice = nice_rotation(w)
+    return nice.word, nice.kind.value, nice.pmin_len
 
 
 # ---------------------------------------------------------------- rotations
@@ -60,6 +85,77 @@ def test_rotation_indices_match_brute_on_all_binary_strings():
     for w in brute.binary_strings(12):
         assert minimal_rotation_index(w) == brute.min_rotation_index(w), w
         assert maximal_rotation_index(w) == brute.max_rotation_index(w), w
+
+
+@settings(max_examples=150)
+@given(edge_texts(200))
+def test_rotation_indices_match_brute_on_long_strings(w):
+    assert minimal_rotation_index(w) == brute.min_rotation_index(w)
+    assert maximal_rotation_index(w) == brute.max_rotation_index(w)
+
+
+@settings(max_examples=150)
+@given(edge_texts(200))
+def test_rotation_indices_match_brute_in_one_letter_rounds(w):
+    # one more letter per candidate and round, so that the elimination
+    # rounds and the dropping of close candidates run on short strings too
+    with mock.patch.multiple(words, _MIN_STEP=1, _ROUND_CHARS=0):
+        assert minimal_rotation_index(w) == brute.min_rotation_index(w)
+        assert maximal_rotation_index(w) == brute.max_rotation_index(w)
+
+
+@given(edge_texts(12), st.integers(min_value=2, max_value=9))
+def test_rotation_indices_of_proper_powers_are_the_earliest(root, e):
+    w = root * e
+    assert minimal_rotation_index(w) == brute.min_rotation_index(w)
+    assert maximal_rotation_index(w) == brute.max_rotation_index(w)
+    assert minimal_rotation_index(w) <= len(w) // e
+
+
+@given(st.characters(), st.integers(min_value=1, max_value=40))
+def test_single_letter_words(c, n):
+    w = c * n
+    assert minimal_rotation_index(w) == maximal_rotation_index(w) == 1
+    if n == 1:
+        assert nice_rotation(w).degenerate
+    else:
+        with pytest.raises(ValueError, match="not primitive"):
+            nice_rotation(w)
+
+
+def test_extreme_rotations_of_tight_family_words():
+    # every word of both tight families up to parameter 64, each also fed
+    # in from a third of the way round
+    for param in range(1, 65):
+        for fixture in (gen_tight_2cycle(param), gen_tight_3cycle(param)):
+            for nice, _ in fixture.nodes:
+                for w in (nice.word, rotate(nice.word, len(nice.word) // 3)):
+                    assert minimal_rotation_index(w) == brute.min_rotation_index(w)
+                    assert maximal_rotation_index(w) == brute.max_rotation_index(w)
+                    assert nice_triple(w) == brute.nice_rotation(w)
+
+
+def equally_spaced_runs(family, k):
+    """A word with k equally spaced runs of "a", the smallest letter, on
+    which candidate elimination without dropping close candidates goes
+    quadratic: (w, its nice rotation as a triple, 1-based maximal rotation
+    index), in closed form for k >= 2; the minimal rotation index is 1."""
+    if family == "ab":
+        return ("ab" * k + "b", ("bb" + "ab" * (k - 1) + "a", "MaxRotation", 2 * k - 1),
+                2 * k)
+    return ("aab" * k + "ab", ("bab" + "aab" * (k - 1) + "aa", "MaxRotation", 3 * k - 1),
+            3 * k)
+
+
+@pytest.mark.parametrize("family, big", [("ab", 2 ** 15), ("aab", 5000)])
+def test_equally_spaced_runs(family, big):
+    for k in [*range(2, 60), big]:
+        w, nice, imax = equally_spaced_runs(family, k)
+        if k < 60:
+            assert nice == brute.nice_rotation(w)
+            assert imax == brute.max_rotation_index(w)
+        assert nice_triple(w) == nice
+        assert (minimal_rotation_index(w), maximal_rotation_index(w)) == (1, imax)
 
 
 # ------------------------------------------------------- borders and periods
@@ -116,6 +212,20 @@ def test_overlap_matches_brute(u, v):
     assert overlap(u, v) == brute.overlap(u, v)
 
 
+@settings(max_examples=150)
+@given(edge_texts(120), edge_texts(120))
+def test_overlap_matches_brute_on_long_strings(u, v):
+    assert overlap(u, v) == brute.overlap(u, v)
+    assert overlap(v, u) == brute.overlap(v, u)
+
+
+@given(edge_texts(60), edge_texts(60))
+def test_overlap_when_one_string_starts_or_ends_the_other(u, x):
+    for v in (u + x, x + u, u + x + u):
+        assert overlap(u, v) == brute.overlap(u, v)
+        assert overlap(v, u) == brute.overlap(v, u)
+
+
 @given(texts, texts)
 def test_overlap_strict_for_substring_free_pairs(u, v):
     if u != v and u not in v and v not in u:
@@ -163,6 +273,14 @@ def test_nice_rotation_degenerate_single_letter():
     assert nice.degenerate
     assert nice.alpha == 0
     assert (nice.pmax_len, nice.pmin_len) == (1, 0)
+
+
+@settings(max_examples=150)
+@given(edge_texts(200))
+def test_nice_rotation_matches_brute(w):
+    if len(w) < 2 or not brute.is_primitive(w):
+        return
+    assert nice_triple(w) == brute.nice_rotation(w)
 
 
 @given(texts3)
