@@ -27,6 +27,7 @@ import functools
 import json
 import os
 import random
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -45,7 +46,7 @@ from .pipeline import (
     validate_superstring,
 )
 
-_PRINTABLE = set(range(33, 127))
+_NOT_PRINTABLE = re.compile(r"[^!-~]")  # anything but printable non-space ASCII
 
 
 class InputError(Exception):
@@ -63,7 +64,7 @@ def read_instance_file(path: str) -> list[str]:
     for lineno, line in enumerate(raw.split("\n"), start=1):
         if not line or line.startswith("#"):
             continue
-        if any(ord(c) not in _PRINTABLE for c in line):
+        if _NOT_PRINTABLE.search(line):
             raise InputError(
                 f"{path}:{lineno}: strings must be printable non-whitespace ASCII")
         strings.append(line)
@@ -156,7 +157,7 @@ def cmd_run(args, argv) -> int:
         n, total_length = len(inst), inst.total_length
     except DegenerateInstanceError as exc:
         # normalize keeps the longest of read_instance_file's strings
-        [single], removed = exc.survivors, ()
+        [single], removed = exc.survivors, exc.log
         n, total_length = 1, len(single)
         print("warning: instance degenerates to a single string", file=sys.stderr)
     for reason, s in removed:

@@ -16,13 +16,32 @@ The overlap matrix comes from one sorted prefix index instead of per-pair
 scans, in the spirit of Gusfield, Landau & Schieber's all-pairs
 suffix-prefix algorithm (IPL 1992).  In the sorted list, the strings that
 start with a given ``p`` form one contiguous run, bounded by bisecting for
-``p`` and for the least string above every extension of ``p``.  Each
-suffix of each string is looked up once and its length written onto its
-whole run with one slice fill.  The cost is one sort, sum |s_i| lookups
-at Python level (a suffix of length k costs a slice and two bisections,
-O(k log N) character comparisons in C), and the cells of the runs, filled
-by numpy (at most N per suffix; on random text the runs shrink
-geometrically with k), instead of N^2 per-pair scans in Python.
+``p`` and for the least string above every extension of ``p``.  A suffix
+is looked up at most once and its length written onto its whole run with
+one slice fill.  A lookup costs a slice and two bisections, O(k log N)
+character comparisons in C for a suffix of length k; the fills cost the
+cells of the runs, written by numpy (at most N per suffix; on random text
+the runs shrink geometrically with k).
+
+Most suffixes start no string, so a suffix of ``_HEAD`` (8) letters or
+more is looked up only if its first 8 letters are the first 8 of some
+string, its *head*; the heads are kept in one set per call.  Each row
+finds those suffixes in the cheaper of two ways, chosen from the number H
+of distinct heads and the row's length m:
+
+- many heads or a short row (the instance matrices of many reads, and
+  every row of 32 letters or fewer): one set test per 8-letter window,
+  m - 7 tests at Python level;
+- few heads and a long row, H (m + 128) < 64 (m - 32) (the two or three
+  representatives of a read set, hundreds of letters each): ``u.find``
+  jumps from one occurrence of each head to the next, H scans of the row
+  in C, each costing about as much as 2 + m / 64 window tests, plus a
+  fixed 32 for building and sorting the row's candidates.
+
+The suffixes shorter than 8 letters are always looked up.  So a call
+costs one sort, at most sum |s_i| window tests at Python level (H finds
+per long row instead), one lookup per suffix shorter than 8 or starting
+with a head, and the cells of the runs, instead of N^2 per-pair scans.
 
 Cycle covers are computed exactly with scipy's assignment solver.  The
 minimum cover of the prefix matrix may use self-loop edges (fixed points of
@@ -43,6 +62,12 @@ from scipy.optimize import linear_sum_assignment
 
 _LOOP_BAN = 1 << 40  # dwarfs any realistic total weight
 _TOP_CHAR = chr(0x10FFFF)
+_HEAD = 8  # letters of overlap_matrix's prefix filter
+# overlap_matrix's cost model, in window tests: testing every window of a row
+# of m letters costs m; jumping with u.find costs _FIND_ROW per row plus
+# 2 + m / _FIND_LETTERS per head
+_FIND_ROW = 32
+_FIND_LETTERS = 64
 
 
 @dataclass(frozen=True)
@@ -89,22 +114,24 @@ class Instance:
 
 
 class DegenerateInstanceError(ValueError):
-    """Fewer than two strings survive normalization."""
+    """Fewer than two strings survive normalization; carries the survivors
+    and normalize's removal log."""
 
-    def __init__(self, survivors):
+    def __init__(self, survivors, log):
         super().__init__("degenerate instance")
         self.survivors = list(survivors)
+        self.log = list(log)
 
 
 def normalize(raw: Sequence[str]) -> tuple[Instance, list[tuple[str, str]]]:
     """Drop duplicates and substrings of other inputs, keeping first occurrences.
 
     Returns the instance together with a removal log of (reason, string)
-    pairs.  Raises DegenerateInstanceError (carrying the survivors) when
-    fewer than two strings remain.
+    pairs.  Raises DegenerateInstanceError (carrying the survivors and the
+    log) when fewer than two strings remain.
     """
     if not raw:
-        raise DegenerateInstanceError([])
+        raise DegenerateInstanceError([], [])
     log: list[tuple[str, str]] = []
     seen: set[str] = set()
     deduped: list[str] = []
@@ -121,7 +148,7 @@ def normalize(raw: Sequence[str]) -> tuple[Instance, list[tuple[str, str]]]:
         else:
             survivors.append(s)
     if len(survivors) < 2:
-        raise DegenerateInstanceError(survivors)
+        raise DegenerateInstanceError(survivors, log)
     return Instance(strings=tuple(survivors)), log
 
 
@@ -155,25 +182,54 @@ def overlap_matrix(strings: Sequence[str]) -> WeightMatrix:
     each suffix ``u[-k:]`` of row ``u`` writes ``k`` onto the run of sorted
     strings that start with it, in ascending ``k`` so the longest overlap
     is written last.  At ``k = |u|`` the run skips the copies of ``u``.
+
+    A suffix of ``_HEAD`` letters or more is looked up only if its first
+    ``_HEAD`` letters are in ``heads``, the first ``_HEAD`` letters of every
+    string (a shorter string is its own head and never equals a window);
+    no other suffix can start a string.  A row finds those suffixes by
+    testing each of its windows against ``heads``, or, when the row is
+    long and ``heads`` small enough that ``_FIND_ROW`` and
+    ``_FIND_LETTERS`` rate it cheaper, by jumping between the occurrences
+    of each ``_HEAD``-letter head with ``u.find``.  Both give the same
+    suffixes, looked up in the same ascending order, so every cell is the
+    same either way.
     """
     n = len(strings)
     order = sorted(range(n), key=strings.__getitem__)
-    keys = [strings[j] for j in order]
+    keys = sorted(strings)  # == [strings[j] for j in order]
+    head = _HEAD
+    heads = {s[:head] for s in strings}
     w = np.zeros((n, n), dtype=np.int64)
     for i, u in enumerate(strings):
         if not u:
             raise ValueError("empty text")
         row = w[i]
         m = len(u)
-        for k in range(1, m + 1):
-            p = u[m - k:]
+        ks = range(1, m + 1)
+        # the model never picks u.find for m <= _FIND_ROW; test m first
+        if m > _FIND_ROW and (len(heads) * (m + 2 * _FIND_LETTERS)
+                              < _FIND_LETTERS * (m - _FIND_ROW)):
+            ks = [*range(1, head), *sorted(
+                m - at for h in heads if len(h) == head for at in _occurrences(u, h))]
+        for k in ks:
+            at = m - k
+            if k >= head and u[at:at + head] not in heads:
+                continue
+            p = u[at:]
             lo = (bisect_right if k == m else bisect_left)(keys, p)
             if lo < n and keys[lo].startswith(p):
                 nxt = _successor(p)
                 row[lo:n if nxt is None else bisect_left(keys, nxt, lo)] = k
-    out = np.empty_like(w)
-    out[:, order] = w
-    return WeightMatrix(out)
+    # columns back from sorted to input order (argsort of order is its inverse)
+    return WeightMatrix(w.take(sorted(range(n), key=order.__getitem__), axis=1))
+
+
+def _occurrences(u: str, h: str):
+    """Every start of ``h`` in ``u``, overlapping ones included."""
+    at = u.find(h)
+    while at >= 0:
+        yield at
+        at = u.find(h, at + 1)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,13 @@ def scrub(report):
 
 # --------------------------------------------------------------------- solve
 
+# stderr of an input (abc, b, abc) that normalizes to one string
+SINGLE_STRING_WARNINGS = (
+    "warning: instance degenerates to a single string\n"
+    "warning: dropped duplicate string 'abc'\n"
+    "warning: dropped substring string 'b'\n")
+
+
 def test_solve_exact(tmp_path, capsys):
     path = write_instance(tmp_path, ["abc", "bcd", "cde"])
     out = str(tmp_path / "r.json")
@@ -73,8 +80,8 @@ def test_solve_single_survivor_warns_but_succeeds(tmp_path, capsys):
     path = write_instance(tmp_path, ["abc", "b", "abc"])
     assert cli.main(["solve", path]) == 0
     captured = capsys.readouterr()
-    assert captured.out.splitlines()[0] == "abc"
-    assert "single string" in captured.err
+    assert captured.out == "abc\n"
+    assert captured.err == SINGLE_STRING_WARNINGS
 
 
 def test_solve_comments_and_blank_lines(tmp_path, capsys):
@@ -88,10 +95,21 @@ def test_solve_missing_file_exits_1(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_solve_rejects_nonascii(tmp_path, capsys):
-    path = write_instance(tmp_path, ["ab cd"])
+@pytest.mark.parametrize(
+    "char", [" ", "\t", "\x0b", "\x00", "\x7f", "\u00e9", "\u00a0"],
+    ids=["space", "tab", "vertical-tab", "nul", "delete", "e-acute",
+         "no-break-space"])
+def test_solve_rejects_nonascii(tmp_path, capsys, char):
+    path = write_instance(tmp_path, ["# comment", "abab", f"ba{char}b", "bba"])
     assert cli.main(["solve", path]) == 1
-    assert "ASCII" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {path}:3: strings must be printable non-whitespace ASCII\n")
+
+
+def test_solve_accepts_the_ends_of_printable_ascii(tmp_path, capsys):
+    path = write_instance(tmp_path, ["!a~", "~b!"])
+    assert cli.main(["solve", path, "--algo", "exact"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "!a~b!"
 
 
 @pytest.mark.parametrize("sep", ["\f", "\x85", "\u2028"],
@@ -160,7 +178,7 @@ def test_compare_single_string_exits_0_like_solve(tmp_path, capsys):
     out = str(tmp_path / "c.json")
     assert cli.main(["compare", path, "--json", out]) == 0
     captured = capsys.readouterr()
-    assert captured.err == "warning: instance degenerates to a single string\n"
+    assert captured.err == SINGLE_STRING_WARNINGS
     algos = ["combined", "s1", "s2", "greedy", "exact"]
     assert captured.out.splitlines() == (
         [f"{'algorithm':<10} {'length':>7} {'overlap':>8} {'ratio':>7}"]

@@ -17,7 +17,7 @@ from superstring.graph import (
     overlap_matrix,
 )
 from superstring.words import is_primitive, overlap_len, rotations_equivalent
-from superstring.pipeline import cycle_string
+from superstring.pipeline import cycle_string, representatives
 
 
 def matrix(rows):
@@ -44,6 +44,7 @@ def test_normalize_drops_substrings_then_degenerates():
     with pytest.raises(DegenerateInstanceError) as exc:
         normalize(["abc", "b", "abc"])
     assert exc.value.survivors == ["abc"]
+    assert exc.value.log == [("duplicate", "abc"), ("substring", "b")]
 
 
 def test_normalize_keeps_clean_instance():
@@ -94,17 +95,38 @@ TOP = chr(0x10FFFF)  # the last code point: no character sorts above it
 @st.composite
 def affix_families(draw):
     """Unnormalized string lists: duplicates at different indices, single
-    letters, and strings that are prefixes or suffixes of others."""
+    letters, strings that are prefixes, suffixes or rotations of others, and
+    periodic strings.  Rows run from 1 to about 200 letters, with few or
+    many distinct heads, so both candidate enumerations of overlap_matrix
+    (a window test per suffix, or u.find jumps between head occurrences)
+    see overlaps above ``graph._HEAD`` letters."""
     alphabet = draw(st.sampled_from(["ab", "abc", "a" + TOP, TOP + "ab"]))
-    base = draw(st.lists(st.text(alphabet, min_size=1, max_size=8),
-                         min_size=1, max_size=6))
+
+    def periodic(lengths):
+        return st.builds(lambda root, n: (root * n)[:n],
+                         st.text(alphabet, min_size=1, max_size=6), lengths)
+
+    shape = draw(st.sampled_from(["short", "mixed", "few-long"]))
+    if shape == "few-long":
+        strings = st.text(alphabet, min_size=50, max_size=200) | periodic(
+            st.integers(50, 200))
+        base = draw(st.lists(strings, min_size=2, max_size=3))
+    else:
+        strings = st.text(alphabet, min_size=1, max_size=8)
+        if shape == "mixed":
+            strings |= st.text(alphabet, min_size=1, max_size=40) | periodic(
+                st.integers(2, 40))
+        base = draw(st.lists(strings, min_size=1, max_size=6))
     out = list(base)
     for idx, how, k in draw(st.lists(
             st.tuples(st.integers(0, len(base) - 1),
-                      st.sampled_from(["copy", "prefix", "suffix"]),
-                      st.integers(1, 8)), max_size=4)):
+                      st.sampled_from(["copy", "prefix", "suffix", "rotation"]),
+                      st.integers(1, 40) | st.integers(graph._HEAD - 2,
+                                                       graph._HEAD + 2)),
+            max_size=4)):
         s = base[idx]
-        out.append({"copy": s, "prefix": s[:k], "suffix": s[-k:]}[how])
+        out.append({"copy": s, "prefix": s[:k], "suffix": s[-k:],
+                    "rotation": s[k:] + s[:k]}[how])
     return draw(st.permutations(out))
 
 
@@ -124,6 +146,23 @@ def test_overlap_matrix_on_read_like_instance():
         reads.append(genome[at:at + rng.randint(80, 120)])
     assert overlap_matrix(reads).w.tolist() == [
         [overlap_len(u, v) for v in reads] for u in reads]
+
+
+def test_overlap_matrix_on_read_like_representatives():
+    # three chromosomes at ~4x coverage: a few long representatives and few
+    # heads, the rows that jump between head occurrences with u.find
+    rng = random.Random(7)
+    genomes = ["".join(rng.choice("ACGT") for _ in range(800)) for _ in range(3)]
+    reads = []
+    for _ in range(100):
+        genome = rng.choice(genomes)
+        at = rng.randrange(len(genome) - 120)
+        reads.append(genome[at:at + rng.randint(80, 120)])
+    inst, _ = normalize(reads)
+    texts = [r.text for r in representatives(inst)]
+    assert len(texts) >= 2 and min(map(len, texts)) > 200
+    assert overlap_matrix(texts).w.tolist() == [
+        [overlap_len(u, v) for v in texts] for u in texts]
 
 
 def test_overlap_matrix_rejects_empty_string():
