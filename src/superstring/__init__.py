@@ -47,7 +47,6 @@ from .pipeline import (
     cycle_string,
     exact_superstring,
     greedy_superstring,
-    merge_order,
     representative,
     representatives,
     solve_combined,
@@ -61,10 +60,8 @@ from .words import (
     is_primitive,
     is_w_string,
     longest_border,
-    maximal_rotation,
     maximal_rotation_index,
     min_period,
-    minimal_rotation,
     minimal_rotation_index,
     nice_rotation,
     overlap,

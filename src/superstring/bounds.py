@@ -53,8 +53,8 @@ class BoundReport:
     inputs: str
     lhs: int | Fraction
     rhs: int | Fraction
-    strict: bool
-    applicable: bool
+    strict: bool = False
+    applicable: bool = True
 
     @property
     def holds(self) -> bool:
@@ -71,13 +71,6 @@ class BoundReport:
             "holds": self.holds,
             "applicable": self.applicable,
         }
-
-
-def _report(check_id, inputs, lhs, rhs, strict=False, applicable=True) -> BoundReport:
-    """A report on exact ints or Fractions, stored as given: both render as
-    ``p/q`` through ``numerator`` and ``denominator``."""
-    return BoundReport(check_id=check_id, inputs=inputs, lhs=lhs, rhs=rhs,
-                       strict=strict, applicable=applicable)
 
 
 def _require_usable_pair(w1: NiceWord, w2: NiceWord) -> None:
@@ -112,37 +105,31 @@ def check_pair_bounds(a: Node, b: Node) -> list[BoundReport]:
 
     k_mult = -(-l1 // l2)  # smallest k with l1 <= k*l2
     reports = [
-        _report("overlap_cap", ctx, o12, l1 + a2, strict=True),
-        _report("overlap_multiple_cap", f"{ctx} k={k_mult}",
-                o12, k_mult * l2, strict=True),
-        _report("overlap_alpha_flat", ctx, o12 + a1, l1 + l2,
-                applicable=l2 <= l1 < 2 * l2),
-        _report("overlap_alpha_mid", ctx, o12 + a1, 2 * l1 - l2,
-                applicable=2 * l2 <= l1 and 2 * l1 < 5 * l2),
-        _report("overlap_alpha_general", ctx, o12 + a1, l1 + l2 + a2,
-                applicable=l1 >= l2),
-        _report("slack_sum_flat", ctx, Fraction(l1 - l2, 2), do12 + da1,
-                applicable=l2 <= l1 < 2 * l2),
-        _report("slack_sum_steep", ctx, Fraction(l1 - l2, 4), do12 + da1,
-                applicable=l1 >= 3 * l2),
-        _report("slack_sum_general", ctx, Fraction(l1 - l2, 6), do12 + da1,
-                applicable=l1 >= l2),
-        _report("mutual_slack_floor", ctx, Fraction(l2, 2), do12 + do21,
-                applicable=l1 >= 2 * l2),
+        BoundReport("overlap_cap", ctx, o12, l1 + a2, strict=True),
+        BoundReport("overlap_multiple_cap", f"{ctx} k={k_mult}",
+                    o12, k_mult * l2, strict=True),
+        BoundReport("overlap_alpha_flat", ctx, o12 + a1, l1 + l2,
+                    applicable=l2 <= l1 < 2 * l2),
+        BoundReport("overlap_alpha_mid", ctx, o12 + a1, 2 * l1 - l2,
+                    applicable=2 * l2 <= l1 and 2 * l1 < 5 * l2),
+        BoundReport("overlap_alpha_general", ctx, o12 + a1, l1 + l2 + a2,
+                    applicable=l1 >= l2),
+        BoundReport("slack_sum_flat", ctx, Fraction(l1 - l2, 2), do12 + da1,
+                    applicable=l2 <= l1 < 2 * l2),
+        BoundReport("slack_sum_steep", ctx, Fraction(l1 - l2, 4), do12 + da1,
+                    applicable=l1 >= 3 * l2),
+        BoundReport("slack_sum_general", ctx, Fraction(l1 - l2, 6), do12 + da1,
+                    applicable=l1 >= l2),
+        BoundReport("mutual_slack_floor", ctx, Fraction(l2, 2), do12 + do21,
+                    applicable=l1 >= 2 * l2),
     ]
     if l1 <= l2 and o12 >= l1 + a2 - a1:
         cap = min(abs(a2 - k * l1) for k in range(1, a2 // l1 + 3))
-        reports.append(_report("short_source_alpha_cap", ctx, a1, cap))
+        reports.append(BoundReport("short_source_alpha_cap", ctx, a1, cap))
     else:
-        reports.append(_report("short_source_alpha_cap", ctx, 0, 0,
-                               applicable=False))
+        reports.append(BoundReport("short_source_alpha_cap", ctx, 0, 0,
+                                   applicable=False))
     return reports
-
-
-def _order_flip(s: str) -> str:
-    """Symbol-wise order-reversing bijection; swaps the roles of minimal and
-    maximal rotations while preserving lengths, overlaps and alpha."""
-    return "".join(chr(0x10FFFF - ord(c)) for c in s)
 
 
 def verify_rotation_positions(a: Node, b: Node) -> BoundReport:
@@ -150,8 +137,8 @@ def verify_rotation_positions(a: Node, b: Node) -> BoundReport:
     overlap onto the second?
 
     With l1 >= l2, o12 >= l2 and the second word in max-rotation form (the
-    min-rotation case is handled by re-running under the reversed symbol
-    order), let w12 be a rotation of the first word that matches ov(x1, x2)
+    min-rotation case reads the alphabet reversed, which swaps i_max and
+    i_min), let w12 be a rotation of the first word that matches ov(x1, x2)
     from the left (the earliest start when several match).  Then, 1-based and
     with r_max = l2*floor((o12-1)/l2) + 1 and
     r_min = l2*floor((o12-a2-1)/l2) + a2 + 1:
@@ -167,12 +154,9 @@ def verify_rotation_positions(a: Node, b: Node) -> BoundReport:
     o12 = words.overlap_len(x1, x2)
     ctx = f"l1={l1} a1={a1} l2={l2} a2={a2} o12={o12} kind2={w2.kind.value}"
     if not (l1 >= l2 and o12 >= l2):
-        return _report("extreme_rotation_positions", ctx, 0, 0, applicable=False)
+        return BoundReport("extreme_rotation_positions", ctx, 0, 0, applicable=False)
 
     base1, ov = w1.word, x2[:o12]  # ov(x1, x2) is x2's prefix of length o12
-    if w2.kind is RotationKind.MIN:
-        base1, ov = _order_flip(base1), _order_flip(ov)
-
     # the earliest r with ov a prefix of rotation r repeated forever; a
     # match at r < l1 fits in the repetitions searched
     r = (base1 * (o12 // l1 + 2)).find(ov)
@@ -181,6 +165,10 @@ def verify_rotation_positions(a: Node, b: Node) -> BoundReport:
     w12 = base1[r:] + base1[:r]
     imax = words.maximal_rotation_index(w12)
     imin = words.minimal_rotation_index(w12)
+    if w2.kind is RotationKind.MIN:
+        # the reversed alphabet: every find offset stays, and the greatest
+        # and least rotations trade places
+        imax, imin = imin, imax
 
     r_max = l2 * ((o12 - 1) // l2) + 1
     r_min = l2 * ((o12 - a2 - 1) // l2) + a2 + 1
@@ -190,8 +178,8 @@ def verify_rotation_positions(a: Node, b: Node) -> BoundReport:
     if o12 >= l1:
         ok &= imax != 1 and imin == a2 + 1
     ok &= a1 <= l2 + (l1 + a2 - o12)
-    return _report("extreme_rotation_positions",
-                   f"{ctx} imax={imax} imin={imin}", 0 if ok else 1, 0)
+    return BoundReport("extreme_rotation_positions",
+                       f"{ctx} imax={imax} imin={imin}", 0 if ok else 1, 0)
 
 
 @dataclass(frozen=True)
@@ -235,9 +223,9 @@ def check_cycle_bounds(f: CycleFixture) -> list[BoundReport]:
     ls, _, os, m, o, length, d_o = cycle_quantities(f)
     ctx = f"ls={ls} os={os} M={m} O={o} L={length}"
     reports = [
-        _report("cycle_weight_bound", ctx, 2 * m + 7 * o, 11 * length),
-        _report("cycle_weight_bound_weak", ctx, m + 24 * o,
-                Fraction(145, 4) * length),
+        BoundReport("cycle_weight_bound", ctx, 2 * m + 7 * o, 11 * length),
+        BoundReport("cycle_weight_bound_weak", ctx, m + 24 * o,
+                    Fraction(145, 4) * length),
     ]
 
     # edge classification: edge t runs from node t to node t+1
@@ -248,8 +236,8 @@ def check_cycle_bounds(f: CycleFixture) -> list[BoundReport]:
     steep_down = {t for t, li, lj in down if li >= 2 * lj}
     for t, li, lj in up:
         do_t = Fraction(2 * li + lj, 2) - os[t]
-        reports.append(_report("up_edge_slack", f"{ctx} edge={t}",
-                               Fraction(2 * li - lj, 2), do_t))
+        reports.append(BoundReport("up_edge_slack", f"{ctx} edge={t}",
+                                   Fraction(2 * li - lj, 2), do_t))
 
     descent = sum(li - lj for _, li, lj in down)
     if not steep_down:
@@ -258,23 +246,23 @@ def check_cycle_bounds(f: CycleFixture) -> list[BoundReport]:
         const = Fraction(1, 8)
     else:
         const = Fraction(1, 12)
-    reports.append(_report("descent_slack", f"{ctx} const={const}",
-                           const * descent, d_o))
+    reports.append(BoundReport("descent_slack", f"{ctx} const={const}",
+                               const * descent, d_o))
 
     l_min, l_max = min(ls), max(ls)
-    reports.append(_report("flat_cycle_slack", ctx, Fraction(l_min, 4), d_o,
-                           applicable=2 * l_min > l_max and l_min != l_max))
+    reports.append(BoundReport("flat_cycle_slack", ctx, Fraction(l_min, 4), d_o,
+                               applicable=2 * l_min > l_max and l_min != l_max))
 
     all_equal = l_min == l_max
-    reports.append(_report("equal_length_overlap_cap", ctx, o, k * l_max,
-                           strict=True, applicable=all_equal))
+    reports.append(BoundReport("equal_length_overlap_cap", ctx, o, k * l_max,
+                               strict=True, applicable=all_equal))
 
     # sufficient-condition routes to the main bound
-    reports.append(_report("slack_sufficiency", ctx, 2 * m + 7 * o, 11 * length,
-                           applicable=2 * m - 7 * d_o <= Fraction(length, 2)))
+    reports.append(BoundReport("slack_sufficiency", ctx, 2 * m + 7 * o, 11 * length,
+                               applicable=2 * m - 7 * d_o <= Fraction(length, 2)))
     threshold = Fraction(6 - k, 2 * (7 * k + 2)) * length
-    reports.append(_report("delta_sufficiency", ctx, 2 * m + 7 * o, 11 * length,
-                           applicable=d_o >= threshold))
+    reports.append(BoundReport("delta_sufficiency", ctx, 2 * m + 7 * o, 11 * length,
+                               applicable=d_o >= threshold))
     return reports
 
 
@@ -552,13 +540,13 @@ def tight_sweep() -> CampaignResult:
         ls, _, os, m, o, length, _ = cycle_quantities(fixture)
         ctx = str({k: v for k, v in expect.items() if k in ("family", "k", "n")})
         result.absorb([
-            _report("tight_lengths", ctx, 0 if ls == expect["lengths"] else 1, 0),
-            _report("tight_overlaps", ctx, 0 if os == expect["overlaps"] else 1, 0),
-            _report("tight_stats", ctx,
-                    0 if (m, o, length) == (expect["M"], expect["O"], expect["L"])
-                    else 1, 0),
-            _report("tight_gap", ctx,
-                    0 if 11 * length - (2 * m + 7 * o) == expect["gap"] else 1, 0),
+            BoundReport("tight_lengths", ctx, 0 if ls == expect["lengths"] else 1, 0),
+            BoundReport("tight_overlaps", ctx, 0 if os == expect["overlaps"] else 1, 0),
+            BoundReport("tight_stats", ctx,
+                        0 if (m, o, length) == (expect["M"], expect["O"], expect["L"])
+                        else 1, 0),
+            BoundReport("tight_gap", ctx,
+                        0 if 11 * length - (2 * m + 7 * o) == expect["gap"] else 1, 0),
         ], ctx)
         result.cases += 1
 
@@ -578,12 +566,12 @@ def greedy_chain_sweep() -> CampaignResult:
     xs = inst.strings  # xs[t] is x_{t+3}
     for idx, i in enumerate(range(3, n)):
         got = words.overlap_len(xs[idx + 1], xs[idx])
-        result.absorb([_report("chain_overlap", f"i={i} got={got}",
-                               0 if got == expected[idx] else 1, 0)], f"i={i}")
+        result.absorb([BoundReport("chain_overlap", f"i={i} got={got}",
+                                   0 if got == expected[idx] else 1, 0)], f"i={i}")
     total = sum(expected)
     periods = sum(range(3, n + 1))
     ratio = Fraction(total, periods)
-    result.absorb([_report("chain_ratio", f"total={total} periods={periods}",
-                           Fraction(140, 100), ratio)], "ratio")
+    result.absorb([BoundReport("chain_ratio", f"total={total} periods={periods}",
+                               Fraction(140, 100), ratio)], "ratio")
     result.cases = 1
     return result

@@ -87,10 +87,9 @@ class Instance:
             raise ValueError("degenerate instance")
         if len(set(ss)) != len(ss):
             raise ValueError("instance strings must be distinct")
-        for i, s in enumerate(ss):
-            for j, t in enumerate(ss):
-                if i != j and s in t:
-                    raise ValueError(f"string {i!r} is a substring of string {j!r}")
+        for i, j in enumerate(_first_containers(ss)):
+            if j is not None:
+                raise ValueError(f"string {i!r} is a substring of string {j!r}")
 
     def __len__(self) -> int:
         return len(self.strings)
@@ -123,6 +122,20 @@ class DegenerateInstanceError(ValueError):
         self.log = list(log)
 
 
+def _first_containers(strings: Sequence[str]) -> list[int | None]:
+    """For each string, the index of the first other string that contains
+    it, or None: the substring-free rule of ``normalize`` and ``Instance``."""
+    found = []
+    for i, s in enumerate(strings):
+        for j, t in enumerate(strings):
+            if s in t and i != j:
+                found.append(j)
+                break
+        else:
+            found.append(None)
+    return found
+
+
 def normalize(raw: Sequence[str]) -> tuple[Instance, list[tuple[str, str]]]:
     """Drop duplicates and substrings of other inputs, keeping first occurrences.
 
@@ -142,11 +155,11 @@ def normalize(raw: Sequence[str]) -> tuple[Instance, list[tuple[str, str]]]:
             seen.add(s)
             deduped.append(s)
     survivors = []
-    for s in deduped:
-        if any(s != t and s in t for t in deduped):
-            log.append(("substring", s))
-        else:
+    for s, j in zip(deduped, _first_containers(deduped)):
+        if j is None:
             survivors.append(s)
+        else:
+            log.append(("substring", s))
     if len(survivors) < 2:
         raise DegenerateInstanceError(survivors, log)
     return Instance(strings=tuple(survivors)), log

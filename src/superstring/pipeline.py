@@ -79,15 +79,6 @@ def _solution(inst: Instance, order, text, algorithm) -> Solution:
                     algorithm=algorithm)
 
 
-def merge_order(inst: Instance, order: Sequence[int]) -> Solution:
-    """Merge the instance strings in the given visiting order."""
-    if sorted(order) != list(range(len(inst))):
-        raise ValueError("order must be a permutation of the instance indices")
-    texts = [inst.strings[i] for i in order]
-    overlaps = [words.overlap_len(a, b) for a, b in zip(texts, texts[1:])]
-    return _solution(inst, order, _merge_texts(texts, overlaps), "merge")
-
-
 def cycle_string(inst: Instance, cycle: Sequence[int]) -> str:
     """Concatenated prefix parts read along the cycle; |s(C)| = cycle weight.
 
@@ -105,16 +96,12 @@ def representative(inst: Instance, cycle: Sequence[int]) -> Representative:
     Every member is a substring of s(C) repeated forever, so it occurs in the
     w(C)-power at an offset below |s(C)|; the result is therefore shorter
     than |s(C)| + max member length.  Unary cycle strings get the degenerate
-    single-letter NiceWord.  A non-primitive s(C) cannot arise from an exact
-    minimum cover; if one is ever fed in, its primitive root is used as the
-    repeating base (the accounting length ``l`` stays |s(C)| either way).
+    single-letter NiceWord.  The cycle string of an exact minimum cover is
+    primitive (Blum et al., JACM 1994), so it is its own repeating base and
+    ``l`` is its length; ``nice_rotation`` raises ValueError on any other.
     """
     s_c = cycle_string(inst, cycle)
-    base = s_c
-    if len(base) >= 2 and not words.is_primitive(base):
-        p = words.min_period(base)
-        base = base[:p]
-    nice = words.nice_rotation(base)
+    nice = words.nice_rotation(s_c)
     members = [inst.strings[i] for i in cycle]
     window = words.w_string_prefix(nice, len(s_c) + max(len(m) for m in members))
     need = 0

@@ -194,20 +194,6 @@ def maximal_rotation_index(w: str) -> int:
     return _extreme_start(w, w + w, False) + 1
 
 
-def rotate(w: str, shift: int) -> str:
-    """Rotation of ``w`` starting at 0-based offset ``shift``."""
-    shift %= len(w)
-    return w[shift:] + w[:shift]
-
-
-def minimal_rotation(w: str) -> str:
-    return rotate(w, minimal_rotation_index(w) - 1)
-
-
-def maximal_rotation(w: str) -> str:
-    return rotate(w, maximal_rotation_index(w) - 1)
-
-
 # Shortest prefix of v whose occurrences in u's tail give the overlaps at
 # least this long; any length from 1 to min(|u|, |v|) gives the same answers.
 _SEED = 4

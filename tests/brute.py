@@ -82,6 +82,39 @@ def overlap(u, v):
     return best
 
 
+def is_substring(s, t):
+    """True iff s occurs in t, by comparing s with every window of t."""
+    return any(t[k:k + len(s)] == s for k in range(len(t) - len(s) + 1))
+
+
+def normalize(raw):
+    """(survivors, log) of the substring-free rule: the first copy of each
+    string is kept unless another input contains it.  The log lists every
+    later copy as a duplicate, in input order, then every contained first
+    copy as a substring, in input order."""
+    firsts, log = [], []
+    for s in raw:
+        if s in firsts:
+            log.append(("duplicate", s))
+        else:
+            firsts.append(s)
+    survivors = []
+    for s in firsts:
+        if any(t != s and is_substring(s, t) for t in firsts):
+            log.append(("substring", s))
+        else:
+            survivors.append(s)
+    return survivors, log
+
+
+def first_substring_pair(strings):
+    """The first (i, j), i != j, in row-major order with strings[i] in
+    strings[j], or None."""
+    n = len(strings)
+    return next(((i, j) for i in range(n) for j in range(n)
+                 if i != j and is_substring(strings[i], strings[j])), None)
+
+
 def merge_in_order(strings, order):
     text = strings[order[0]]
     for idx in order[1:]:

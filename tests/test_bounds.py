@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import brute
+from superstring import bounds
 from superstring.bounds import (
     CycleFixture,
     check_cycle_bounds,
@@ -22,6 +24,7 @@ from superstring.bounds import (
     verify_rotation_positions,
 )
 from superstring.words import (
+    RotationKind,
     is_primitive,
     is_w_string,
     nice_rotation,
@@ -120,6 +123,38 @@ def test_rotation_positions_fuzz():
     result = pair_fuzz(400, seed=11)
     assert result.checks_failed == 0
     assert result.checks_run == 400 * 22
+
+
+def brute_rotation_indices(a, b):
+    """i_max and i_min of w12, the earliest rotation of the first word that
+    ov(x1, x2) starts, each by enumerating the rotations; for a MIN-kind
+    second word every letter is first mapped to its mirror image in the
+    code-point order, so the alphabet reads reversed."""
+    (w1, x1), (w2, x2) = a, b
+    ov = x2[:len(brute.overlap(x1, x2))]
+    w12 = next(r for r in brute.rotations(w1.word)
+               if (r * (len(ov) // len(r) + 1)).startswith(ov))
+    if w2.kind is RotationKind.MIN:
+        w12 = "".join(chr(0x10FFFF - ord(c)) for c in w12)
+    return brute.max_rotation_index(w12), brute.min_rotation_index(w12)
+
+
+def test_rotation_positions_report_brute_extreme_indices():
+    # the pairs of pair_fuzz(600, seed=0), both directions
+    kinds = []
+    for t in range(600):
+        rng = bounds._trial_rng(0, t)
+        a, b = (bounds._structured_pair(rng) if t % 3 == 2
+                else bounds._random_pair(rng, rng.choice((2, 3))))
+        for first, second in ((a, b), (b, a)):
+            rep = verify_rotation_positions(first, second)
+            if rep.applicable:
+                imax, imin = brute_rotation_indices(first, second)
+                assert rep.inputs.endswith(f" imax={imax} imin={imin}"), rep.inputs
+                kinds.append(second[0].kind)
+    # the tight families' words are MIN-kind, so most applicable pairs are
+    assert kinds.count(RotationKind.MIN) >= 100
+    assert RotationKind.MAX in kinds
 
 
 # -------------------------------------------------------------- cycle checks

@@ -218,12 +218,10 @@ def test_solve_reports_its_row_of_compare(tmp_path, capsys, lines):
         assert solve["results"] == [rows[algo]]
         reports.append(solve)
     capsys.readouterr()
-    # the one string an input normalizes to is its own superstring, unvalidated
-    validated = compare["instance"]["n"] > 1
+    # every row is checked, the one string an input normalizes to included
     for report in reports:
         checks = report["verification"]
-        assert checks["run"] == checks["held"] == (
-            len(report["results"]) if validated else 0)
+        assert checks["run"] == checks["held"] == len(report["results"])
         assert (checks["failed"], checks["violations"]) == (0, [])
 
 

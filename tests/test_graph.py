@@ -60,6 +60,9 @@ def test_instance_validation():
         Instance(strings=("ab", "ab"))
     with pytest.raises(ValueError):
         Instance(strings=("ab", "xaby"))
+    # (1, 3), (1, 4), (2, 0) and (4, 3) all hold; row-major, (1, 3) is first
+    with pytest.raises(ValueError, match=r"^string 1 is a substring of string 3$"):
+        Instance(strings=("abcd", "xy", "bc", "wxyz", "xyz"))
 
 
 # ------------------------------------------------------------------ matrices
@@ -135,6 +138,34 @@ def affix_families(draw):
 def test_overlap_matrix_matches_brute_force(strings):
     assert overlap_matrix(strings).w.tolist() == [
         [len(brute.overlap(u, v)) for v in strings] for u in strings]
+
+
+@given(affix_families())
+@settings(max_examples=300, deadline=None)
+def test_normalize_matches_brute_force(raw):
+    survivors, log = brute.normalize(raw)
+    try:
+        inst, got_log = normalize(raw)
+    except DegenerateInstanceError as exc:
+        assert len(survivors) < 2
+        assert (exc.survivors, exc.log) == (survivors, log)
+    else:
+        assert (list(inst.strings), got_log) == (survivors, log)
+
+
+@given(affix_families())
+@settings(max_examples=300, deadline=None)
+def test_instance_refuses_the_first_row_major_substring_pair(raw):
+    strings = tuple(dict.fromkeys(raw))
+    if len(strings) < 2:
+        return
+    pair = brute.first_substring_pair(strings)
+    if pair is None:
+        assert Instance(strings).strings == strings
+    else:
+        with pytest.raises(ValueError) as exc:
+            Instance(strings)
+        assert str(exc.value) == "string %d is a substring of string %d" % pair
 
 
 def test_overlap_matrix_on_read_like_instance():

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 import brute
 from superstring import atsp, cli, graph, words
 from superstring.atsp import DEFAULT_EXACT_LIMIT, SolverLimitError, SolverTag, exact_max_path
-from superstring.graph import DegenerateInstanceError, Instance, normalize
+from superstring.graph import DegenerateInstanceError, Instance, normalize, path_overlaps
 from superstring.pipeline import (
     _appearance_order,
+    _merge_texts,
     cycle_string,
     exact_superstring,
     greedy_superstring,
-    merge_order,
     representative,
     representatives,
     solve_combined,
@@ -42,29 +42,30 @@ def random_instance(rng, max_n=8, max_len=12, alphabet="ab"):
             continue
 
 
-# --------------------------------------------------------------- merge_order
+# --------------------------------------------------------------- _merge_texts
 
-def test_merge_order_examples():
-    sol = merge_order(inst_of("ab", "ba"), (0, 1))
-    assert (sol.text, sol.length, sol.total_overlap) == ("aba", 3, 1)
-    assert merge_order(inst_of("abc", "bcd", "cde"), (0, 1, 2)).text == "abcde"
-
-
-def test_merge_order_rejects_bad_permutation():
-    with pytest.raises(ValueError):
-        merge_order(inst_of("ab", "ba"), (0, 0))
+def merge_along(inst, order):
+    """The instance strings merged along ``order`` and the sum of the
+    overlaps between consecutive ones."""
+    overlaps = path_overlaps(inst.overlap, order)
+    return _merge_texts([inst.strings[i] for i in order], overlaps), sum(overlaps)
 
 
-def test_merge_order_length_identity():
+def test_merge_texts_examples():
+    assert merge_along(inst_of("ab", "ba"), (0, 1)) == ("aba", 1)
+    assert merge_along(inst_of("abc", "bcd", "cde"), (0, 1, 2)) == ("abcde", 4)
+
+
+def test_merge_texts_length_identity():
     rng = random.Random(1)
     for _ in range(40):
         inst = random_instance(rng, max_n=6)
         order = list(range(len(inst)))
         rng.shuffle(order)
-        sol = merge_order(inst, order)
-        assert sol.length == inst.total_length - sol.total_overlap
-        assert validate_superstring(inst, sol.text)
-        assert sol.text == brute.merge_in_order(inst.strings, order)
+        text, total_overlap = merge_along(inst, order)
+        assert len(text) == inst.total_length - total_overlap
+        assert validate_superstring(inst, text)
+        assert text == brute.merge_in_order(inst.strings, order)
 
 
 # -------------------------------------------------------------- cycle strings

@@ -14,15 +14,12 @@ from superstring.words import (
     is_primitive,
     is_w_string,
     longest_border,
-    maximal_rotation,
     maximal_rotation_index,
     min_period,
-    minimal_rotation,
     minimal_rotation_index,
     nice_rotation,
     overlap,
     prefix_part,
-    rotate,
     rotations_equivalent,
     w_string_prefix,
 )
@@ -62,7 +59,7 @@ def test_minimal_rotation_examples():
 
 def test_maximal_rotation_examples():
     assert maximal_rotation_index("aabab") == 3
-    assert maximal_rotation("aabab") == "babaa"
+    assert brute.rotations("aabab")[maximal_rotation_index("aabab") - 1] == "babaa"
     assert maximal_rotation_index("ab") == 2
     assert maximal_rotation_index("bbb") == 1
 
@@ -129,7 +126,8 @@ def test_extreme_rotations_of_tight_family_words():
     for param in range(1, 65):
         for fixture in (gen_tight_2cycle(param), gen_tight_3cycle(param)):
             for nice, _ in fixture.nodes:
-                for w in (nice.word, rotate(nice.word, len(nice.word) // 3)):
+                third = len(nice.word) // 3
+                for w in (nice.word, nice.word[third:] + nice.word[:third]):
                     assert minimal_rotation_index(w) == brute.min_rotation_index(w)
                     assert maximal_rotation_index(w) == brute.max_rotation_index(w)
                     assert nice_triple(w) == brute.nice_rotation(w)
@@ -308,9 +306,11 @@ def test_nice_rotation_invariants(w):
 def test_extreme_rotations_are_unbordered(w):
     if not brute.is_primitive(w) or len(w) < 2:
         return
-    assert longest_border(minimal_rotation(w)) == ""
-    assert longest_border(maximal_rotation(w)) == ""
-    assert minimal_rotation(w) != maximal_rotation(w)
+    least = brute.rotations(w)[minimal_rotation_index(w) - 1]
+    greatest = brute.rotations(w)[maximal_rotation_index(w) - 1]
+    assert longest_border(least) == ""
+    assert longest_border(greatest) == ""
+    assert least != greatest
 
 
 @given(texts3)
