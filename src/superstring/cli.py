@@ -50,8 +50,8 @@ _NOT_PRINTABLE = re.compile(r"[^!-~]")  # anything but printable non-space ASCII
 
 
 class InputError(Exception):
-    """An input file that cannot be read or parsed, or an output file that
-    cannot be written."""
+    """An input file that cannot be read or parsed, an output file that
+    cannot be written, or command-line numbers out of range."""
 
 
 def read_instance_file(path: str) -> list[str]:
@@ -225,11 +225,9 @@ def _run_fuzz(name: str, trials: int, seed: int, workers: int):
 
 def cmd_verify(args, argv) -> int:
     if args.trials < 0:
-        print("error: --trials must be at least 0", file=sys.stderr)
-        return 1
+        raise InputError("--trials must be at least 0")
     if args.workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return 1
+        raise InputError("--workers must be at least 1")
     report = _report_skeleton(argv, seed=args.seed)
     campaigns = []
     if args.suite in ("pairs", "all"):
@@ -240,7 +238,7 @@ def cmd_verify(args, argv) -> int:
     if args.suite in ("tight", "all"):
         campaigns.append(bounds.tight_sweep())
         campaigns.append(bounds.greedy_chain_sweep())
-    verification = {"run": 0, "held": 0, "failed": 0, "violations": []}
+    verification = report["verification"]
     for c in campaigns:
         verification["run"] += c.checks_run
         verification["held"] += c.checks_held
@@ -253,7 +251,6 @@ def cmd_verify(args, argv) -> int:
                   file=sys.stderr)
         print(f"{c.name:<16} cases={c.cases:<7} checks={c.checks_run:<8} "
               f"failed={c.checks_failed}")
-    report["verification"] = verification
     _write_json(args.json, report)
     if verification["failed"]:
         print(f"FAILED: {verification['failed']} violating checks")
@@ -279,8 +276,7 @@ def _gen_error(args) -> str | None:
 def cmd_gen(args, argv) -> int:
     error = _gen_error(args)
     if error:
-        print(f"error: gen --family {args.family}: {error}", file=sys.stderr)
-        return 1
+        raise InputError(f"gen --family {args.family}: {error}")
     sidecar = None
     if args.family == "tight2":
         fixture = bounds.gen_tight_2cycle(args.k)
@@ -309,9 +305,8 @@ def cmd_gen(args, argv) -> int:
             if len(inst) == args.n:
                 break
         else:
-            print("error: could not generate a substring-free instance "
-                  "of the requested size", file=sys.stderr)
-            return 1
+            raise InputError("could not generate a substring-free instance "
+                             "of the requested size")
         strings = list(inst.strings)
         header = f"# family=random n={args.n} seed={args.seed}"
     _write(args.output, "\n".join([header, *strings]) + "\n")

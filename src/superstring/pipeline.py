@@ -164,16 +164,16 @@ def greedy_superstring(inst: Instance) -> Solution:
     substring-free instance the overlap of chain ``a...b`` with chain
     ``c...d`` is ``ov(b, c)``, since a longer one would put ``b`` or ``c``
     across a junction that greedy would have merged along a larger overlap
-    first (Tarhio & Ukkonen 1988; Blum et al. 1994).  So after a merge the
-    kept chain's row is ``base[last(keep), first(k)]`` and its column
-    ``base[last(k), first(keep)]``: O(n) gathers and one ``argmax`` per
+    first (Tarhio & Ukkonen 1988; Blum et al. 1994).  Appending chain
+    ``j`` to chain ``i`` gives a chain that starts where ``i`` starts and
+    ends where ``j`` ends, so its row is ``j``'s row and its column ``i``'s
+    column: one ``argmax`` and a few whole-row and whole-column writes per
     merge, no string work, and the text is built once at the end.
     """
     n = len(inst)
-    base = inst.overlap.w
     # ov[i, j] is the overlap of live chains i != j and -1 everywhere else,
     # so the row-major first maximum is the tie-broken best pair.
-    ov = base.copy()
+    ov = inst.overlap.w.copy()
     np.fill_diagonal(ov, -1)
     chains = {i: [i] for i in range(n)}
     while len(chains) > 1:
@@ -181,10 +181,9 @@ def greedy_superstring(inst: Instance) -> Solution:
         keep, drop = min(i, j), max(i, j)
         chains[keep] = chains[i] + chains[j]
         del chains[drop]
-        ov[drop, :] = ov[:, drop] = -1
-        others = [k for k in chains if k != keep]
-        ov[keep, others] = base[chains[keep][-1], [chains[k][0] for k in others]]
-        ov[others, keep] = base[[chains[k][-1] for k in others], chains[keep][0]]
+        ov[keep] = ov[j]
+        ov[:, keep] = ov[:, i]
+        ov[drop] = ov[:, drop] = ov[keep, keep] = -1
     (order,) = chains.values()
     text = _merge_texts([inst.strings[i] for i in order],
                         path_overlaps(inst.overlap, order))

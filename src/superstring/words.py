@@ -37,7 +37,8 @@ loops:
   one ``startswith``.  Shorter overlaps that go past the run are tried one
   length at a time with ``endswith``; those within it are read off ``u``'s
   trailing run of ``c``.  The cost is one C-level search of the tail plus a
-  few comparisons per seed occurrence.
+  few comparisons per seed occurrence.  Borders and periods use the same
+  kernel: the longest proper border of ``w`` is ``overlap(w[1:], w)``.
 """
 
 from __future__ import annotations
@@ -99,30 +100,16 @@ def _require_nonempty(w: str) -> None:
         raise ValueError("empty text")
 
 
-def prefix_function(w: str) -> list[int]:
-    """KMP failure function: pi[i] = length of the longest proper border of w[:i+1]."""
-    pi = [0] * len(w)
-    k = 0
-    for i in range(1, len(w)):
-        c = w[i]
-        while k > 0 and w[k] != c:
-            k = pi[k - 1]
-        if w[k] == c:
-            k += 1
-        pi[i] = k
-    return pi
-
-
 def longest_border(w: str) -> str:
-    """Longest proper prefix of ``w`` that is also a suffix (possibly empty)."""
+    """Longest proper prefix of ``w`` that is also a suffix (possibly empty):
+    the longest suffix of ``w[1:]`` that is a prefix of ``w``."""
     _require_nonempty(w)
-    return w[: prefix_function(w)[-1]]
+    return overlap(w[1:], w) if len(w) > 1 else ""
 
 
 def min_period(w: str) -> int:
     """Smallest p with w[i] == w[i+p] for all valid i; equals |w| - |longest border|."""
-    _require_nonempty(w)
-    return len(w) - prefix_function(w)[-1]
+    return len(w) - len(longest_border(w))
 
 
 def is_primitive(w: str) -> bool:

@@ -195,6 +195,30 @@ def max_path_order(weights):
     return best_order
 
 
+def greedy_path_order(weights):
+    """Greedy Hamiltonian path: scan the edges i != j sorted by
+    (-weight, i, j), taking each one that leaves every node with at most one
+    successor and one predecessor and closes no cycle, checked by walking
+    the successors taken so far."""
+    n = len(weights)
+    succ = {}
+    for _, i, j in sorted((-weights[i][j], i, j)
+                          for i in range(n) for j in range(n) if i != j):
+        if i in succ or j in succ.values():
+            continue
+        node = j
+        while node in succ and node != i:
+            node = succ[node]
+        if node == i:
+            continue
+        succ[i] = j
+    (start,) = set(range(n)) - set(succ.values())
+    order = [start]
+    while order[-1] in succ:
+        order.append(succ[order[-1]])
+    return tuple(order)
+
+
 def binary_strings(max_len):
     for n in range(1, max_len + 1):
         for bits in itertools.product("ab", repeat=n):

@@ -16,6 +16,7 @@ from superstring.atsp import (
     greedy_max_path,
     max_path,
 )
+from superstring.bounds import gen_random_instance
 from superstring.graph import WeightMatrix, overlap_matrix
 
 
@@ -24,10 +25,15 @@ def matrix(rows):
     return WeightMatrix(arr)
 
 
-small_matrices = st.integers(min_value=2, max_value=6).flatmap(
-    lambda n: st.lists(
-        st.lists(st.integers(min_value=0, max_value=12), min_size=n, max_size=n),
-        min_size=n, max_size=n))
+def square_matrices(min_n, max_n, max_weight):
+    return st.integers(min_value=min_n, max_value=max_n).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=0, max_value=max_weight),
+                     min_size=n, max_size=n),
+            min_size=n, max_size=n))
+
+
+small_matrices = square_matrices(2, 6, 12)
 
 
 # ------------------------------------------------------------------ exact DP
@@ -189,7 +195,7 @@ def test_greedy_uniform_matrix():
 @pytest.mark.parametrize("solver, tag, guarantee", [
     (exact_max_path, SolverTag.EXACT, Fraction(1)),
     (cycle_cover_path, SolverTag.CYCLE_COVER_HALF, Fraction(1, 2)),
-    (greedy_max_path, SolverTag.GREEDY, Fraction(1, 2)),
+    (greedy_max_path, SolverTag.GREEDY, Fraction(1, 3)),
 ])
 def test_single_node_and_empty_matrix(solver, tag, guarantee):
     # the heavy diagonal is a loop edge, which no path can use
@@ -218,9 +224,38 @@ def test_half_approximation_floor(rows):
     m = matrix(rows)
     opt = exact_max_path(m).weight
     assert 2 * cycle_cover_path(m).weight >= opt
-    assert 2 * greedy_max_path(m).weight >= opt
+    assert 3 * greedy_max_path(m).weight >= opt
     assert cycle_cover_path(m).weight <= opt
     assert greedy_max_path(m).weight <= opt
+
+
+def test_greedy_keeps_half_on_overlap_matrices():
+    # a theorem on the overlap matrix of a substring-free instance (Tarhio &
+    # Ukkonen 1988), though not on general matrices (see the next test)
+    rng = random.Random(13)
+    for alphabet_size in (2, 3, 4):
+        for _ in range(100):
+            m = gen_random_instance(rng, n_range=(2, 8),
+                                    alphabet_size=alphabet_size).overlap
+            assert 2 * greedy_max_path(m).weight >= exact_max_path(m).weight
+
+
+@pytest.mark.parametrize("heavy, light", [(4, 3), (101, 100)])
+def test_greedy_third_is_tight_on_general_matrices(heavy, light):
+    # greedy takes 0 -> 1, which blocks all three light edges of the best
+    # path 3 -> 1 -> 0 -> 2; the ratio tends to 1/3 as heavy / light -> 1
+    m = matrix([[0, heavy, light, 0], [light, 0, 0, 0], [0, 0, 0, 0],
+                [0, light, 0, 0]])
+    greedy, opt = greedy_max_path(m), exact_max_path(m)
+    assert (greedy.order, greedy.weight) == ((0, 1, 2, 3), heavy)
+    assert (opt.order, opt.weight) == ((3, 1, 0, 2), 3 * light)
+    assert greedy.ratio_guarantee == Fraction(1, 3) < Fraction(heavy, 3 * light)
+
+
+@given(square_matrices(1, 8, 3))  # few weights, so many ties
+@settings(max_examples=300, deadline=None)
+def test_greedy_matches_sorted_edge_scan(rows):
+    assert greedy_max_path(matrix(rows)).order == brute.greedy_path_order(rows)
 
 
 def test_determinism_on_random_matrices():
