@@ -23,6 +23,7 @@ nice words and instances for fuzz campaigns.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -75,9 +76,9 @@ class BoundReport:
 
 def _require_usable_pair(w1: NiceWord, w2: NiceWord) -> None:
     if w1.degenerate or w2.degenerate:
-        raise ValueError("degenerate word in pair check")
+        raise ValueError("degenerate word")
     if words.rotations_equivalent(w1.word, w2.word):
-        raise ValueError("equivalent words in pair check")
+        raise ValueError("equivalent words")
 
 
 Node = tuple[NiceWord, str]
@@ -104,7 +105,9 @@ def check_pair_bounds(a: Node, b: Node) -> list[BoundReport]:
     ctx = f"l1={l1} a1={a1} l2={l2} a2={a2} o12={o12} o21={o21}"
 
     k_mult = -(-l1 // l2)  # smallest k with l1 <= k*l2
-    reports = [
+    short = l1 <= l2 and o12 >= l1 + a2 - a1
+    cap = min(abs(a2 - k * l1) for k in range(1, a2 // l1 + 3)) if short else 0
+    return [
         BoundReport("overlap_cap", ctx, o12, l1 + a2, strict=True),
         BoundReport("overlap_multiple_cap", f"{ctx} k={k_mult}",
                     o12, k_mult * l2, strict=True),
@@ -122,14 +125,8 @@ def check_pair_bounds(a: Node, b: Node) -> list[BoundReport]:
                     applicable=l1 >= l2),
         BoundReport("mutual_slack_floor", ctx, Fraction(l2, 2), do12 + do21,
                     applicable=l1 >= 2 * l2),
+        BoundReport("short_source_alpha_cap", ctx, a1, cap, applicable=short),
     ]
-    if l1 <= l2 and o12 >= l1 + a2 - a1:
-        cap = min(abs(a2 - k * l1) for k in range(1, a2 // l1 + 3))
-        reports.append(BoundReport("short_source_alpha_cap", ctx, a1, cap))
-    else:
-        reports.append(BoundReport("short_source_alpha_cap", ctx, 0, 0,
-                                   applicable=False))
-    return reports
 
 
 def verify_rotation_positions(a: Node, b: Node) -> BoundReport:
@@ -191,36 +188,29 @@ class CycleFixture:
     def __post_init__(self):
         if len(self.nodes) < 2:
             raise ValueError("a cycle fixture needs at least two nodes")
-        for w, x in self.nodes:
-            if w.degenerate:
-                raise ValueError("degenerate word in cycle fixture")
-            if not words.is_w_string(x, w):
-                raise ValueError("x is not a repetition prefix of its word")
-        for i in range(len(self.nodes)):
-            for j in range(i + 1, len(self.nodes)):
-                if words.rotations_equivalent(self.nodes[i][0].word,
-                                              self.nodes[j][0].word):
-                    raise ValueError("equivalent words in cycle fixture")
+        for node in self.nodes:
+            _unpack(node)
+        for (w1, _), (w2, _) in itertools.combinations(self.nodes, 2):
+            _require_usable_pair(w1, w2)
 
     def __len__(self):
         return len(self.nodes)
 
 
 def cycle_quantities(f: CycleFixture):
-    """(lengths, alphas, overlaps-around-the-cycle, M, O, L, dO)."""
+    """(lengths, overlaps-around-the-cycle, M, O, L, dO)."""
     k = len(f)
     ls = [len(w.word) for w, _ in f.nodes]
-    alphas = [w.alpha for w, _ in f.nodes]
     os = [words.overlap_len(f.nodes[t][1], f.nodes[(t + 1) % k][1])
           for t in range(k)]
     m, o, length = min(os), sum(os), sum(ls)
-    return ls, alphas, os, m, o, length, Fraction(3 * length, 2) - o
+    return ls, os, m, o, length, Fraction(3 * length, 2) - o
 
 
 def check_cycle_bounds(f: CycleFixture) -> list[BoundReport]:
     """Cycle-level weight bounds and their supporting slack inequalities."""
     k = len(f)
-    ls, _, os, m, o, length, d_o = cycle_quantities(f)
+    ls, os, m, o, length, d_o = cycle_quantities(f)
     ctx = f"ls={ls} os={os} M={m} O={o} L={length}"
     reports = [
         BoundReport("cycle_weight_bound", ctx, 2 * m + 7 * o, 11 * length),
@@ -345,15 +335,19 @@ def gen_greedy_path(n: int) -> tuple[Instance, list[int]]:
     return Instance(strings=strings), expected
 
 
+def _letters(alphabet_size: int) -> str:
+    if not 2 <= alphabet_size <= 8:
+        raise ValueError("alphabet_size must be 2 to 8")
+    return "abcdefgh"[:alphabet_size]
+
+
 def gen_random_nice(rng: random.Random, length_range: tuple[int, int] = (2, 24),
                     alphabet_size: int = 2) -> NiceWord:
     """Nice rotation of a random primitive string; deterministic under rng."""
-    if alphabet_size < 2:
-        raise ValueError("alphabet_size must be >= 2")
+    letters = _letters(alphabet_size)
     lo, hi = length_range
     if lo < 2:
         raise ValueError("lengths must be >= 2")
-    letters = "abcdefgh"[:alphabet_size]
     for _ in range(1000):
         w = "".join(rng.choice(letters) for _ in range(rng.randint(lo, hi)))
         if words.is_primitive(w):
@@ -363,8 +357,13 @@ def gen_random_nice(rng: random.Random, length_range: tuple[int, int] = (2, 24),
 
 def gen_random_instance(rng: random.Random, n_range=(2, 8), length_range=(1, 12),
                         alphabet_size: int = 2) -> Instance:
-    """Random normalized instance; redraws until normalization survives."""
-    letters = "abcdefgh"[:alphabet_size]
+    """Random normalized instance; redraws until normalization survives.
+    Arguments with which no draw can keep two strings raise ValueError."""
+    letters = _letters(alphabet_size)
+    if n_range[1] < 2:
+        raise ValueError("n_range must allow at least 2 strings")
+    if not 1 <= length_range[0] <= length_range[1]:
+        raise ValueError("need 1 <= length_range[0] <= length_range[1]")
     while True:
         raw = ["".join(rng.choice(letters)
                        for _ in range(rng.randint(*length_range)))
@@ -382,10 +381,12 @@ def gen_random_instance(rng: random.Random, n_range=(2, 8), length_range=(1, 12)
 
 @dataclass
 class CampaignResult:
+    """Counts, violations and notes of one campaign; ``checks_failed`` and
+    ``checks_held`` are derived from them, not stored."""
+
     name: str
     cases: int = 0
     checks_run: int = 0
-    checks_held: int = 0
     applicable_counts: dict = field(default_factory=dict)
     violations: list[dict] = field(default_factory=list)
     anomalies: list[str] = field(default_factory=list)
@@ -395,15 +396,17 @@ class CampaignResult:
     def checks_failed(self) -> int:
         return len(self.violations)
 
+    @property
+    def checks_held(self) -> int:
+        return self.checks_run - self.checks_failed
+
     def absorb(self, reports: Sequence[BoundReport], context: str) -> None:
         for rep in reports:
             self.checks_run += 1
             if rep.applicable:
                 self.applicable_counts[rep.check_id] = \
                     self.applicable_counts.get(rep.check_id, 0) + 1
-            if rep.holds:
-                self.checks_held += 1
-            else:
+            if not rep.holds:
                 entry = rep.to_jsonable()
                 entry["context"] = context
                 self.violations.append(entry)
@@ -414,7 +417,6 @@ class CampaignResult:
         the result of the unsplit range."""
         self.cases += other.cases
         self.checks_run += other.checks_run
-        self.checks_held += other.checks_held
         for key, count in other.applicable_counts.items():
             self.applicable_counts[key] = self.applicable_counts.get(key, 0) + count
         self.violations.extend(other.violations)
@@ -537,7 +539,7 @@ def tight_sweep() -> CampaignResult:
     result = CampaignResult(name="tight")
 
     def check_family(fixture, expect):
-        ls, _, os, m, o, length, _ = cycle_quantities(fixture)
+        ls, os, m, o, length, _ = cycle_quantities(fixture)
         ctx = str({k: v for k, v in expect.items() if k in ("family", "k", "n")})
         result.absorb([
             BoundReport("tight_lengths", ctx, 0 if ls == expect["lengths"] else 1, 0),

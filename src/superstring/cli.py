@@ -168,7 +168,7 @@ def cmd_run(args, argv) -> int:
         algos = [args.algo]
     else:
         algos = [a for a in _ALGOS if a != "exact" or n <= args.exact_limit]
-    solver, checks = SolverTag(args.path_solver), report["verification"]
+    solver = SolverTag(args.path_solver)
     for algo in algos:
         if single is None:
             sol, ms = _timed(_run_algo, algo, inst, solver, args.exact_limit)
@@ -176,12 +176,12 @@ def cmd_run(args, argv) -> int:
         else:
             sol, ms = Solution((0,), single, 0, algo), 0.0
             valid = single in sol.text
-        checks["run"] += 1
         if not valid:
             print("internal error: output failed validation", file=sys.stderr)
             return 3
-        checks["held"] += 1
         report["results"].append(_result_entry(algo, sol, ms))
+    checks = report["verification"]
+    checks["run"] = checks["held"] = len(report["results"])
     _write_json(args.json, report)
     if args.command == "compare":
         _print_table(report["results"])

@@ -143,8 +143,6 @@ def normalize(raw: Sequence[str]) -> tuple[Instance, list[tuple[str, str]]]:
     pairs.  Raises DegenerateInstanceError (carrying the survivors and the
     log) when fewer than two strings remain.
     """
-    if not raw:
-        raise DegenerateInstanceError([], [])
     log: list[tuple[str, str]] = []
     seen: set[str] = set()
     deduped: list[str] = []
@@ -247,31 +245,30 @@ def _occurrences(u: str, h: str):
 
 @dataclass(frozen=True)
 class CycleCover:
-    """A permutation (perm[i] = successor of node i) split into cycles.
+    """A permutation (perm[i] = successor of node i) and its total weight.
 
-    Cycles are canonical: each starts at its smallest node and the list is
-    sorted by those smallest nodes.
+    ``cycles`` is derived from ``perm`` on first use: each cycle starts at
+    its smallest node, and the cycles are sorted by those nodes.
     """
 
     perm: tuple[int, ...]
-    cycles: tuple[tuple[int, ...], ...]
     total_weight: int
 
-
-def _decompose(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    seen = [False] * len(perm)
-    cycles = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cyc = []
-        node = start
-        while not seen[node]:
-            seen[node] = True
-            cyc.append(node)
-            node = perm[node]
-        cycles.append(tuple(cyc))
-    return tuple(cycles)
+    @cached_property
+    def cycles(self) -> tuple[tuple[int, ...], ...]:
+        seen = [False] * len(self.perm)
+        cycles = []
+        for start in range(len(self.perm)):
+            if seen[start]:
+                continue
+            cyc = []
+            node = start
+            while not seen[node]:
+                seen[node] = True
+                cyc.append(node)
+                node = self.perm[node]
+            cycles.append(tuple(cyc))
+        return tuple(cycles)
 
 
 def _assignment_cover(m: WeightMatrix, w: np.ndarray, maximize: bool) -> CycleCover:
@@ -279,7 +276,7 @@ def _assignment_cover(m: WeightMatrix, w: np.ndarray, maximize: bool) -> CycleCo
     rows, cols = linear_sum_assignment(w, maximize=maximize)
     perm = tuple(int(cols[i]) for i in np.argsort(rows))
     total = int(m.w[np.arange(m.n), list(perm)].sum())
-    return CycleCover(perm=perm, cycles=_decompose(perm), total_weight=total)
+    return CycleCover(perm=perm, total_weight=total)
 
 
 def min_cycle_cover(m: WeightMatrix) -> CycleCover:

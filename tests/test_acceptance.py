@@ -63,7 +63,7 @@ def test_criterion_1_tight_2cycle_exactness():
     for k in range(1, 65):
         fixture = gen_tight_2cycle(k)
         (_, x1), (_, x2) = fixture.nodes
-        _, _, os, m, o, length, _ = cycle_quantities(fixture)
+        _, os, m, o, length, _ = cycle_quantities(fixture)
         if os != [4 * k + 5, 3 * k + 4]:
             failures.append(f"k={k}: overlaps {os}")
         if length != 5 * k + 8:
@@ -78,7 +78,7 @@ def test_criterion_2_tight_3cycle_exactness():
     failures = []
     for n in range(1, 65):
         fixture = gen_tight_3cycle(n)
-        _, _, os, m, o, length, _ = cycle_quantities(fixture)
+        _, os, m, o, length, _ = cycle_quantities(fixture)
         if os != [8 * n + 12, 6 * n + 8, 5 * n + 7]:
             failures.append(f"n={n}: overlaps {os}")
         if 11 * length - (2 * m + 7 * o) != 28:

@@ -6,9 +6,12 @@ import pytest
 import brute
 from superstring import bounds
 from superstring.bounds import (
+    BoundReport,
+    CampaignResult,
     CycleFixture,
     check_cycle_bounds,
     check_pair_bounds,
+    cycle_fuzz,
     cycle_quantities,
     expected_tight_2cycle,
     expected_tight_3cycle,
@@ -161,7 +164,7 @@ def test_rotation_positions_report_brute_extreme_indices():
 
 def test_tight_2cycle_stats():
     f = gen_tight_2cycle(1)
-    ls, alphas, os, m, o, length, d_o = cycle_quantities(f)
+    ls, os, m, o, length, d_o = cycle_quantities(f)
     assert ls == [8, 5] and os == [9, 7]
     assert (m, o, length) == (7, 16, 13)
     assert 2 * m + 7 * o == 126 and 11 * length == 143
@@ -169,7 +172,7 @@ def test_tight_2cycle_stats():
 
 
 def test_tight_3cycle_stats():
-    ls, _, os, m, o, length, _ = cycle_quantities(gen_tight_3cycle(1))
+    ls, os, m, o, length, _ = cycle_quantities(gen_tight_3cycle(1))
     assert ls == [16, 13, 5] and os == [20, 14, 12]
     assert 2 * m + 7 * o == 346 and 11 * length == 374
 
@@ -198,6 +201,16 @@ def test_cycle_fixture_validation():
         CycleFixture(nodes=((w, "ba"), (nice_rotation("ba"), "bab")))
 
 
+@pytest.mark.parametrize("nodes, stem", [
+    ((("ab", "ba"), ("a", "aa")), "degenerate"),
+    ((("ab", "ba"), ("abb", "bab")), "repetition"),
+    ((("ab", "ba"), ("abb", "abba"), ("ba", "bab")), "equivalent"),
+])
+def test_cycle_fixture_applies_the_node_and_pair_rules(nodes, stem):
+    with pytest.raises(ValueError, match=stem):
+        CycleFixture(nodes=tuple((nice_rotation(w), x) for w, x in nodes))
+
+
 # ---------------------------------------------------------------- generators
 
 def test_tight_2cycle_matches_closed_forms_small_k():
@@ -214,7 +227,7 @@ def test_tight_2cycle_matches_closed_forms_small_k():
 
 def test_tight_3cycle_matches_closed_forms_small_n():
     for n in range(1, 9):
-        ls, _, os, m, o, length, _ = cycle_quantities(gen_tight_3cycle(n))
+        ls, os, m, o, length, _ = cycle_quantities(gen_tight_3cycle(n))
         exp = expected_tight_3cycle(n)
         assert ls == exp["lengths"] and os == exp["overlaps"]
         assert (m, o, length) == (exp["M"], exp["O"], exp["L"])
@@ -294,7 +307,68 @@ def test_gen_random_instance_is_normalized():
         assert 2 <= len(inst) <= 8
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"n_range": (1, 1)},
+    {"n_range": (0, 1)},
+    {"length_range": (0, 0)},
+    {"length_range": (0, 4)},
+    {"length_range": (5, 3)},
+    {"alphabet_size": 1},
+    {"alphabet_size": 9},
+])
+def test_gen_random_instance_refuses_arguments_no_draw_can_keep(kwargs):
+    """Arguments with which no draw keeps two strings, and alphabets that
+    ``a``..``h`` cannot give, are refused before the rng is touched."""
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        gen_random_instance(rng, **kwargs)
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("alphabet_size", [1, 9])
+def test_gen_random_nice_refuses_alphabets_outside_2_to_8(alphabet_size):
+    with pytest.raises(ValueError, match="alphabet_size"):
+        gen_random_nice(random.Random(0), alphabet_size=alphabet_size)
+
+
 # ------------------------------------------------------------------ campaigns
+
+@pytest.mark.parametrize("campaign", [pair_fuzz, cycle_fuzz, pipeline_cycle_fuzz])
+def test_merged_chunks_equal_the_unsplit_campaign(campaign):
+    whole = campaign(90, seed=4)
+    cuts = [0, 1, 29, 60, 90]
+    merged, *rest = [campaign(hi - lo, seed=4, start=lo)
+                     for lo, hi in zip(cuts, cuts[1:])]
+    for part in rest:
+        merged.merge(part)
+
+    def counts(r):
+        return (r.cases, r.checks_run, r.checks_held, r.applicable_counts,
+                r.violations, r.anomalies, r.skipped)
+
+    assert counts(merged) == counts(whole)
+    for r in (whole, merged):
+        assert r.checks_held == r.checks_run - r.checks_failed
+
+
+def test_merge_keeps_violations_and_anomalies_in_chunk_order():
+    chunks = []
+    for t in range(3):
+        chunk = CampaignResult(name="x")
+        chunk.absorb([BoundReport("c", "", 0, 1), BoundReport("c", "", 1, 0)],
+                     f"trial={t}")
+        chunk.anomalies.append(f"note {t}")
+        chunks.append(chunk)
+    merged, *rest = chunks
+    for part in rest:
+        merged.merge(part)
+    assert merged.checks_run == 6 and merged.checks_failed == 3
+    assert merged.checks_held == 3
+    contexts = [v["context"] for v in merged.violations]
+    assert contexts == ["trial=0", "trial=1", "trial=2"]
+    assert merged.anomalies == ["note 0", "note 1", "note 2"]
+
 
 def test_pipeline_cycle_fuzz_small():
     result = pipeline_cycle_fuzz(300, seed=3)

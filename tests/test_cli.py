@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -361,7 +362,7 @@ def test_gen_tight2_roundtrip(tmp_path, capsys):
     out = str(tmp_path / "t2.txt")
     assert cli.main(["gen", "--family", "tight2", "-k", "1", out]) == 0
     capsys.readouterr()
-    strings = [l for l in open(out).read().splitlines()
+    strings = [l for l in Path(out).read_text().splitlines()
                if l and not l.startswith("#")]
     assert [len(s) for s in strings] == [15, 9]
     expected = load_json(out + ".expected.json")
@@ -373,7 +374,7 @@ def test_gen_tight3_roundtrip(tmp_path, capsys):
     out = str(tmp_path / "t3.txt")
     assert cli.main(["gen", "--family", "tight3", "-n", "2", out]) == 0
     capsys.readouterr()
-    strings = [l for l in open(out).read().splitlines()
+    strings = [l for l in Path(out).read_text().splitlines()
                if l and not l.startswith("#")]
     expected = load_json(out + ".expected.json")
     ov = overlap_matrix(strings)
@@ -385,7 +386,7 @@ def test_gen_greedy_matches_printed_family(tmp_path, capsys):
     out = str(tmp_path / "g.txt")
     assert cli.main(["gen", "--family", "greedy", "-n", "6", out]) == 0
     capsys.readouterr()
-    strings = [l for l in open(out).read().splitlines()
+    strings = [l for l in Path(out).read_text().splitlines()
                if l and not l.startswith("#")]
     assert strings == ["abbab", "bbaabba", "aabbbaabb", "bbbaaabbbaa"]
 
@@ -395,8 +396,8 @@ def test_gen_random_deterministic_and_solvable(tmp_path, capsys):
     for out in (out1, out2):
         assert cli.main(["gen", "--family", "random", "-n", "6",
                          "--seed", "3", out]) == 0
-    assert open(out1).read().replace("r1", "rX") \
-        == open(out2).read().replace("r2", "rX")
+    assert Path(out1).read_text().replace("r1", "rX") \
+        == Path(out2).read_text().replace("r2", "rX")
     assert cli.main(["solve", out1, "--algo", "combined"]) == 0
     capsys.readouterr()
 

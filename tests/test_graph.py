@@ -302,6 +302,25 @@ def test_max_cover_loopless_never_uses_diagonal():
     assert cover.total_weight == 3
 
 
+square_matrices = st.integers(min_value=2, max_value=7).flatmap(
+    lambda n: st.lists(st.lists(st.integers(min_value=0, max_value=9),
+                                min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+
+
+@given(square_matrices)
+@settings(max_examples=200, deadline=None)
+def test_cover_cycles_are_the_canonical_cycles_of_perm(rows):
+    for cover in (min_cycle_cover(matrix(rows)), max_cycle_cover(matrix(rows))):
+        cycles = cover.cycles
+        assert sorted(v for cyc in cycles for v in cyc) == list(range(len(rows)))
+        assert all(cyc[0] == min(cyc) for cyc in cycles)
+        starts = [cyc[0] for cyc in cycles]
+        assert starts == sorted(starts)
+        for cyc in cycles:
+            assert [cover.perm[v] for v in cyc] == [*cyc[1:], cyc[0]]
+
+
 def test_cover_determinism():
     rng = random.Random(3)
     rows = [[rng.randint(0, 4) for _ in range(6)] for _ in range(6)]
