@@ -27,7 +27,7 @@ from math import comb
 
 import numpy as np
 
-from .graph import WeightMatrix, cycle_edges, max_cycle_cover, path_overlaps
+from .graph import WeightMatrix, max_cycle_cover, path_overlaps
 
 
 class SolverTag(enum.Enum):
@@ -189,20 +189,13 @@ def cycle_cover_path(m: WeightMatrix) -> PathSolution:
     if n == 1:
         return PathSolution(order=(0,), weight=0,
                             solver_tag=SolverTag.CYCLE_COVER_HALF)
-    cover = max_cycle_cover(m)
-    pieces = []
-    for cyc in cover.cycles:
-        edges = cycle_edges(cyc)
-        weights = [int(m.w[i, j]) for i, j in edges]
-        drop = weights.index(min(weights))
-        # removing edge cyc[drop] -> cyc[drop+1] leaves the walk that starts
-        # right after it
-        k = len(cyc)
-        piece = tuple(cyc[(drop + 1 + t) % k] for t in range(k))
-        pieces.append(piece)
-    pieces.sort(key=min)
-    order = tuple(node for piece in pieces for node in piece)
-    return PathSolution(order=order, weight=sum(path_overlaps(m, order)),
+    order = []
+    for cyc in max_cycle_cover(m).cycles:
+        weights = path_overlaps(m, cyc + cyc[:1])
+        # dropping the edge into cyc[cut] leaves the walk that starts there
+        cut = weights.index(min(weights)) + 1
+        order += cyc[cut:] + cyc[:cut]
+    return PathSolution(order=tuple(order), weight=sum(path_overlaps(m, order)),
                         solver_tag=SolverTag.CYCLE_COVER_HALF)
 
 

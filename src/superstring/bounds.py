@@ -325,14 +325,23 @@ def gen_greedy_path(n: int) -> tuple[Instance, list[int]]:
     """Chain family x_3 .. x_n whose descending path has overlap ~ (3/2) sum l_i.
 
     Returns the instance (strings in index order x_3, ..., x_n) and the
-    expected consecutive overlaps [|ov(x_{i+1}, x_i)| for i = 3..n-1], each
-    equal to floor(3i/2).  The period of x_i is l_i = i.
+    expected consecutive overlaps, ``expected_greedy_path(n)["overlaps"]``.
     """
     if n < 4:
         raise ValueError("n must be >= 4 to give at least two strings")
     strings = tuple(_chain_string(i) for i in range(3, n + 1))
-    expected = [3 * i // 2 for i in range(3, n)]
-    return Instance(strings=strings), expected
+    return Instance(strings=strings), expected_greedy_path(n)["overlaps"]
+
+
+def expected_greedy_path(n: int) -> dict:
+    """The chain family's consecutive overlaps |ov(x_{i+1}, x_i)| for
+    i = 3..n-1, each equal to floor(3i/2), and its periods l_i = i."""
+    return {"family": "greedy", "n": n,
+            "overlaps": [3 * i // 2 for i in range(3, n)],
+            "periods": list(range(3, n + 1))}
+
+
+_MAX_DRAWS = 10000
 
 
 def _letters(alphabet_size: int) -> str:
@@ -357,22 +366,39 @@ def gen_random_nice(rng: random.Random, length_range: tuple[int, int] = (2, 24),
 
 def gen_random_instance(rng: random.Random, n_range=(2, 8), length_range=(1, 12),
                         alphabet_size: int = 2) -> Instance:
-    """Random normalized instance; redraws until normalization survives.
-    Arguments with which no draw can keep two strings raise ValueError."""
+    """Random normalized instance of at least ``max(2, n_range[0])`` strings;
+    deterministic under rng.
+
+    Each draw takes ``rng.randint(*n_range)`` strings with lengths in
+    ``length_range`` and normalizes them.  A draw that keeps fewer strings
+    is redrawn; after _MAX_DRAWS draws, ValueError.  Arguments with which
+    no draw can keep enough strings raise ValueError before the rng is
+    touched.  Substring-free strings are prefix-free, so by Kraft's
+    inequality at most ``alphabet_size ** length_range[1]`` of them exist;
+    all strings of that length reach the cap.
+    """
     letters = _letters(alphabet_size)
+    fewest, longest = n_range[0], length_range[1]
     if n_range[1] < 2:
         raise ValueError("n_range must allow at least 2 strings")
-    if not 1 <= length_range[0] <= length_range[1]:
+    if not 1 <= length_range[0] <= longest:
         raise ValueError("need 1 <= length_range[0] <= length_range[1]")
-    while True:
+    # alphabet_size ** longest > fewest once longest >= fewest.bit_length()
+    if longest < fewest.bit_length() and fewest > alphabet_size ** longest:
+        raise ValueError(
+            f"n_range[0] = {fewest} exceeds alphabet_size ** length_range[1] = "
+            f"{alphabet_size ** longest}, the most strings that can be substring-free")
+    for _ in range(_MAX_DRAWS):
         raw = ["".join(rng.choice(letters)
                        for _ in range(rng.randint(*length_range)))
                for _ in range(rng.randint(*n_range))]
         try:
             inst, _ = normalize(raw)
-            return inst
         except DegenerateInstanceError:
             continue
+        if len(inst) >= fewest:
+            return inst
+    raise ValueError(f"no draw of {_MAX_DRAWS} kept {fewest} substring-free strings")
 
 
 # --------------------------------------------------------------------------
@@ -564,14 +590,14 @@ def greedy_chain_sweep() -> CampaignResult:
     its overlap-to-period ratio."""
     n = 40
     result = CampaignResult(name="greedy-chain")
-    inst, expected = gen_greedy_path(n)
-    xs = inst.strings  # xs[t] is x_{t+3}
+    xs = gen_greedy_path(n)[0].strings  # xs[t] is x_{t+3}
+    expect = expected_greedy_path(n)
     for idx, i in enumerate(range(3, n)):
         got = words.overlap_len(xs[idx + 1], xs[idx])
         result.absorb([BoundReport("chain_overlap", f"i={i} got={got}",
-                                   0 if got == expected[idx] else 1, 0)], f"i={i}")
-    total = sum(expected)
-    periods = sum(range(3, n + 1))
+                                   0 if got == expect["overlaps"][idx] else 1, 0)],
+                      f"i={i}")
+    total, periods = sum(expect["overlaps"]), sum(expect["periods"])
     ratio = Fraction(total, periods)
     result.absorb([BoundReport("chain_ratio", f"total={total} periods={periods}",
                                Fraction(140, 100), ratio)], "ratio")

@@ -14,8 +14,8 @@ across repeated runs with the same seed, except for the timestamp and the
 per-result ms timings.  An input that normalizes to one string is solved
 by that string, with a warning.  Exit codes: 0 success, 1 unreadable or
 empty input, an output file that cannot be written (a ``--json`` file is
-tried before any work starts), out-of-range ``gen``
-numbers, a negative ``verify --trials`` or a ``verify --workers`` below 1,
+tried before any work starts), ``gen`` numbers that the family's generator
+refuses, a negative ``verify --trials`` or a ``verify --workers`` below 1,
 2 exact-solver node limit or table ceiling exceeded, 3 internal validation
 failure.
 """
@@ -199,20 +199,17 @@ _SUITES = ("pairs", "cycles", "tight", "all")
 
 def _campaign_chunk(task):
     name, seed, start, count = task
-    if name == "pairs":
-        return bounds.pair_fuzz(count, seed, start=start)
-    if name == "cycles":
-        return bounds.cycle_fuzz(count, seed, start=start)
-    return bounds.pipeline_cycle_fuzz(count, seed, start=start)
+    return getattr(bounds, name)(count, seed, start=start)
 
 
 def _run_fuzz(name: str, trials: int, seed: int, workers: int):
-    """One campaign over ``trials`` trials, split into at most ``workers``
-    chunks and no more than this machine has CPUs, one process per chunk;
-    a single chunk runs in this process."""
+    """The campaign ``bounds.<name>`` over ``trials`` trials, split into at
+    most ``workers`` chunks and no more than this machine has CPUs, one
+    process per chunk; a single chunk runs in this process.  The campaign
+    is looked up at call time, so a rebound one is the one that runs."""
     chunks = min(workers, trials, os.cpu_count() or 1)
     if chunks <= 1:
-        return [_campaign_chunk((name, seed, 0, trials))]
+        return _campaign_chunk((name, seed, 0, trials))
     step = -(-trials // chunks)
     tasks = [(name, seed, lo, min(step, trials - lo))
              for lo in range(0, trials, step)]
@@ -220,7 +217,7 @@ def _run_fuzz(name: str, trials: int, seed: int, workers: int):
         merged, *rest = pool.map(_campaign_chunk, tasks)
     for part in rest:
         merged.merge(part)
-    return [merged]
+    return merged
 
 
 def cmd_verify(args, argv) -> int:
@@ -229,15 +226,15 @@ def cmd_verify(args, argv) -> int:
     if args.workers < 1:
         raise InputError("--workers must be at least 1")
     report = _report_skeleton(argv, seed=args.seed)
-    campaigns = []
+    fuzz = []
     if args.suite in ("pairs", "all"):
-        campaigns += _run_fuzz("pairs", args.trials, args.seed, args.workers)
+        fuzz.append("pair_fuzz")
     if args.suite in ("cycles", "all"):
-        campaigns += _run_fuzz("cycles", args.trials, args.seed, args.workers)
-        campaigns += _run_fuzz("pipeline", args.trials, args.seed, args.workers)
+        fuzz += ["cycle_fuzz", "pipeline_cycle_fuzz"]
+    campaigns = [_run_fuzz(name, args.trials, args.seed, args.workers)
+                 for name in fuzz]
     if args.suite in ("tight", "all"):
-        campaigns.append(bounds.tight_sweep())
-        campaigns.append(bounds.greedy_chain_sweep())
+        campaigns += [bounds.tight_sweep(), bounds.greedy_chain_sweep()]
     verification = report["verification"]
     for c in campaigns:
         verification["run"] += c.checks_run
@@ -259,56 +256,31 @@ def cmd_verify(args, argv) -> int:
     return 0
 
 
-def _gen_error(args) -> str | None:
-    """Why ``gen`` cannot build the requested family, or None if it can."""
-    rules = {
-        "tight2": [(args.k >= 1, "-k must be at least 1")],
-        "tight3": [(args.n >= 1, "-n must be at least 1")],
-        "greedy": [(args.n >= 4, "-n must be at least 4")],
-        "random": [(args.n >= 2, "-n must be at least 2"),
-                   (2 <= args.alphabet <= 8, "--alphabet must be 2 to 8"),
-                   (1 <= args.min_len <= args.max_len,
-                    "need 1 <= --min-len <= --max-len")],
-    }
-    return next((msg for ok, msg in rules[args.family] if not ok), None)
-
-
 def cmd_gen(args, argv) -> int:
-    error = _gen_error(args)
-    if error:
-        raise InputError(f"gen --family {args.family}: {error}")
+    """Write the family's instance file and, for the tight and chain
+    families, its ``.expected.json`` sidecar.  The family's generator checks
+    the arguments; its ValueError becomes one error line, with nothing
+    written."""
     sidecar = None
-    if args.family == "tight2":
-        fixture = bounds.gen_tight_2cycle(args.k)
-        strings = [x for _, x in fixture.nodes]
-        sidecar = bounds.expected_tight_2cycle(args.k)
-        header = f"# family=tight2 k={args.k}"
-    elif args.family == "tight3":
-        fixture = bounds.gen_tight_3cycle(args.n)
-        strings = [x for _, x in fixture.nodes]
-        sidecar = bounds.expected_tight_3cycle(args.n)
-        header = f"# family=tight3 n={args.n}"
-    elif args.family == "greedy":
-        inst, expected = bounds.gen_greedy_path(args.n)
-        strings = list(inst.strings)
-        sidecar = {"family": "greedy", "n": args.n,
-                   "overlaps": expected,
-                   "periods": list(range(3, args.n + 1))}
-        header = f"# family=greedy n={args.n}"
-    else:
-        rng = random.Random(args.seed)
-        for _ in range(10000):
-            inst = bounds.gen_random_instance(
-                rng, n_range=(args.n, args.n),
-                length_range=(args.min_len, args.max_len),
-                alphabet_size=args.alphabet)
-            if len(inst) == args.n:
-                break
+    try:
+        if args.family == "tight2":
+            strings = [x for _, x in bounds.gen_tight_2cycle(args.k).nodes]
+            sidecar, params = bounds.expected_tight_2cycle(args.k), f"k={args.k}"
+        elif args.family == "tight3":
+            strings = [x for _, x in bounds.gen_tight_3cycle(args.n).nodes]
+            sidecar, params = bounds.expected_tight_3cycle(args.n), f"n={args.n}"
+        elif args.family == "greedy":
+            strings = list(bounds.gen_greedy_path(args.n)[0].strings)
+            sidecar, params = bounds.expected_greedy_path(args.n), f"n={args.n}"
         else:
-            raise InputError("could not generate a substring-free instance "
-                             "of the requested size")
-        strings = list(inst.strings)
-        header = f"# family=random n={args.n} seed={args.seed}"
+            strings = list(bounds.gen_random_instance(
+                random.Random(args.seed), n_range=(args.n, args.n),
+                length_range=(args.min_len, args.max_len),
+                alphabet_size=args.alphabet).strings)
+            params = f"n={args.n} seed={args.seed}"
+    except ValueError as exc:
+        raise InputError(f"gen --family {args.family}: {exc}") from exc
+    header = f"# family={args.family} {params}"
     _write(args.output, "\n".join([header, *strings]) + "\n")
     if sidecar is not None:
         _write_json(args.output + ".expected.json", sidecar)

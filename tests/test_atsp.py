@@ -158,6 +158,19 @@ def test_cycle_cover_path_all_zero():
     assert sol.weight == 0
 
 
+@pytest.mark.parametrize("rows, order", [
+    # one 3-cycle 0->1->2->0 weighing 2, 1, 1: the first lightest edge,
+    # 1->2, is dropped
+    ([[0, 2, 0], [0, 0, 1], [1, 0, 0]], (2, 0, 1)),
+    # cycles (0 2) and (1 3), chained by smallest node
+    ([[0, 0, 3, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 2, 0, 0]], (0, 2, 3, 1)),
+])
+def test_cycle_cover_path_drops_the_first_lightest_edge(rows, order):
+    sol = cycle_cover_path(matrix(rows))
+    assert sol.order == order
+    assert sol.weight == sum(rows[i][j] for i, j in zip(order, order[1:]))
+
+
 def test_cycle_cover_path_single_node():
     assert cycle_cover_path(matrix([[7]])).order == (0,)
 

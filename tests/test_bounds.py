@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from superstring.bounds import (
     check_pair_bounds,
     cycle_fuzz,
     cycle_quantities,
+    expected_greedy_path,
     expected_tight_2cycle,
     expected_tight_3cycle,
     gen_greedy_path,
@@ -255,6 +257,14 @@ def test_greedy_path_family():
     assert overlap_len(xs[3], xs[2]) == 7
 
 
+def test_expected_greedy_path_is_the_chain_sidecar():
+    for n in range(4, 13):
+        assert expected_greedy_path(n) == {
+            "family": "greedy", "n": n,
+            "overlaps": [3 * i // 2 for i in range(3, n)],
+            "periods": list(range(3, n + 1))}
+
+
 def test_greedy_path_strings_are_repetition_prefixes():
     inst, _ = gen_greedy_path(10)
     for idx, i in enumerate(range(3, 11)):
@@ -315,15 +325,38 @@ def test_gen_random_instance_is_normalized():
     {"length_range": (5, 3)},
     {"alphabet_size": 1},
     {"alphabet_size": 9},
+    {"n_range": (17, 17), "length_range": (4, 4)},
+    {"n_range": (3, 3), "length_range": (1, 1)},
+    {"n_range": (10, 12), "length_range": (1, 2), "alphabet_size": 3},
+    {"n_range": (2**40, 2**40)},
 ])
 def test_gen_random_instance_refuses_arguments_no_draw_can_keep(kwargs):
-    """Arguments with which no draw keeps two strings, and alphabets that
-    ``a``..``h`` cannot give, are refused before the rng is touched."""
+    """Arguments with which no draw keeps two strings, or more strings than
+    ``alphabet_size ** length_range[1]`` (Kraft's inequality), and alphabets
+    that ``a``..``h`` cannot give, are refused before the rng is touched."""
     rng = random.Random(0)
     state = rng.getstate()
     with pytest.raises(ValueError):
         gen_random_instance(rng, **kwargs)
     assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("alphabet_size, length", [(2, 1), (2, 2), (3, 1)])
+def test_gen_random_instance_reaches_the_kraft_cap(alphabet_size, length):
+    n = alphabet_size ** length
+    inst = gen_random_instance(random.Random(0), n_range=(n, n),
+                               length_range=(length, length),
+                               alphabet_size=alphabet_size)
+    letters = "abc"[:alphabet_size]
+    assert sorted(inst.strings) == sorted(
+        "".join(p) for p in itertools.product(letters, repeat=length))
+
+
+def test_gen_random_instance_gives_up_after_10000_draws():
+    # 16 binary strings of length 4 are all of them: 16!/16**16 ~ 1e-6 a draw
+    with pytest.raises(ValueError, match="no draw of 10000"):
+        gen_random_instance(random.Random(0), n_range=(16, 16),
+                            length_range=(4, 4))
 
 
 @pytest.mark.parametrize("alphabet_size", [1, 9])

@@ -402,12 +402,39 @@ def test_gen_random_deterministic_and_solvable(tmp_path, capsys):
     capsys.readouterr()
 
 
+# Files written by `gen --family random`; the trailing number is how many
+# draws it took to keep n strings (the n=4 files hold every string there is).
+@pytest.mark.parametrize("n, alphabet, min_len, max_len, seed, strings", [
+    (3, 3, 2, 4, 0, ["abc", "bbb", "cac"]),  # 1 draw
+    (3, 3, 2, 4, 1, ["abcc", "cbab", "caac"]),  # 7
+    (4, 2, 1, 2, 0, ["bb", "ba", "ab", "aa"]),  # 8
+    (4, 4, 1, 1, 0, ["d", "c", "a", "b"]),  # 6
+    (5, 2, 3, 6, 1, ["ababbb", "aaaa", "aabb", "bbbab", "baab"]),  # 8
+    (6, 2, 1, 3, 0, ["baa", "aba", "aaa", "bab", "abb", "bba"]),  # 407
+    (6, 2, 4, 12, 3, ["baabbaba", "aabbbaaabb", "baabaaaaabbb", "abbbab",
+                      "bbabbabbbb", "babbabaabbbb"]),  # 1
+])
+def test_gen_random_files_are_pinned(tmp_path, capsys, n, alphabet, min_len,
+                                     max_len, seed, strings):
+    out = tmp_path / "r.txt"
+    assert cli.main(["gen", "--family", "random", "-n", str(n),
+                     "--alphabet", str(alphabet), "--min-len", str(min_len),
+                     "--max-len", str(max_len), "--seed", str(seed),
+                     str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {n} strings to {out}\n"
+    header = f"# family=random n={n} seed={seed}"
+    assert out.read_text(encoding="utf-8") == "\n".join([header, *strings]) + "\n"
+    assert not Path(f"{out}.expected.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["--family", "random", "-n", "1"],
     ["--family", "random", "--alphabet", "1"],
     ["--family", "random", "--alphabet", "9"],
     ["--family", "random", "--min-len", "0"],
     ["--family", "random", "--min-len", "5", "--max-len", "3"],
+    ["--family", "random", "-n", "17", "--alphabet", "2", "--min-len", "4",
+     "--max-len", "4"],
     ["--family", "tight2", "-k", "0"],
     ["--family", "tight3", "-n", "0"],
     ["--family", "greedy", "-n", "3"],
@@ -417,7 +444,8 @@ def test_gen_rejects_out_of_range_numbers(tmp_path, capsys, argv):
     assert cli.main(["gen", *argv, str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: gen --family {argv[1]}: ")
+    assert captured.err.count("\n") == 1
     assert not out.exists()
 
 
