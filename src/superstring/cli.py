@@ -17,7 +17,7 @@ empty input, an output file that cannot be written (a ``--json`` file is
 tried before any work starts), ``gen`` numbers that the family's generator
 refuses, a negative ``verify --trials`` or a ``verify --workers`` below 1,
 2 exact-solver node limit or table ceiling exceeded, 3 internal validation
-failure.
+or assertion failure.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ from .atsp import DEFAULT_EXACT_LIMIT, SolverLimitError, SolverTag, TableSizeErr
 from .graph import DegenerateInstanceError, Instance, normalize
 from .pipeline import (
     Solution,
+    better_of,
     exact_superstring,
     greedy_superstring,
-    solve_combined,
     solve_s1,
     solve_s2,
     validate_superstring,
@@ -121,8 +121,6 @@ _ALGOS = ("combined", "s1", "s2", "greedy", "exact")
 
 
 def _run_algo(algo: str, inst: Instance, path_solver: SolverTag, exact_limit: int):
-    if algo == "combined":
-        return solve_combined(inst, path_solver, exact_limit)
     if algo == "s1":
         return solve_s1(inst, path_solver, exact_limit)
     if algo == "s2":
@@ -148,10 +146,11 @@ def _print_table(results: list[dict]) -> None:
 def cmd_run(args, argv) -> int:
     """``solve`` runs ``--algo`` and prints its text; ``compare`` runs every
     algorithm, ``exact`` only up to ``--exact-limit`` nodes, and prints a
-    table.  Each text is validated (exit 3 on failure) before the report is
-    written, so ``run == held == len(results)`` in every report.  An input
-    that normalizes to one string is solved by that string, with a warning
-    and untimed."""
+    table.  No algorithm runs twice: a ``combined`` row is ``better_of`` the
+    command's own s1 and s2 runs, and its ms their sum.  Each text is
+    validated (exit 3 on failure) before the report is written, so ``run ==
+    held == len(results)`` in every report.  An input that normalizes to one
+    string is solved by that string, with a warning and untimed."""
     report, single = _report_skeleton(argv), None
     try:
         inst, removed = normalize(read_instance_file(args.input))
@@ -169,9 +168,17 @@ def cmd_run(args, argv) -> int:
     else:
         algos = [a for a in _ALGOS if a != "exact" or n <= args.exact_limit]
     solver = SolverTag(args.path_solver)
+
+    @functools.cache
+    def run(algo):
+        if algo != "combined":
+            return _timed(_run_algo, algo, inst, solver, args.exact_limit)
+        (s1, ms1), (s2, ms2) = run("s1"), run("s2")
+        return better_of(s1, s2), ms1 + ms2
+
     for algo in algos:
         if single is None:
-            sol, ms = _timed(_run_algo, algo, inst, solver, args.exact_limit)
+            sol, ms = run(algo)
             valid = validate_superstring(inst, sol.text)
         else:
             sol, ms = Solution((0,), single, 0, algo), 0.0
@@ -356,6 +363,9 @@ def main(argv=None) -> int:
     except SolverLimitError as exc:
         print(f"error: {exc} (raise --exact-limit to override)", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

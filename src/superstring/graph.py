@@ -300,10 +300,5 @@ def max_cycle_cover(m: WeightMatrix) -> CycleCover:
 
 def path_overlaps(m: WeightMatrix, order: Sequence[int]) -> list[int]:
     """The weights ``m.w[order[t], order[t+1]]`` of consecutive nodes."""
-    order = list(order)
-    return m.w[order[:-1], order[1:]].tolist()
-
-
-def cycle_edges(cycle: Sequence[int]) -> list[tuple[int, int]]:
-    return [(cycle[t], cycle[(t + 1) % len(cycle)]) for t in range(len(cycle))]
+    return list(map(m.w.item, order, order[1:]))
 

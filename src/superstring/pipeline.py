@@ -12,7 +12,7 @@ The main route reduces the instance to a small set of *representatives*:
 
 ``solve_s1`` runs this with the path solver named by a ``SolverTag``,
 ``solve_s2`` with the cycle-cover/drop-lightest-edge solver, and
-``solve_combined`` returns the shorter of the two.  ``greedy_superstring``
+``solve_combined`` returns ``better_of`` the two.  ``greedy_superstring``
 and ``exact_superstring`` are the classic baselines.  All of them read the
 instance's overlap matrix and cover (``Instance.overlap``,
 ``Instance.cover``), which each instance computes once.
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import words
 from .atsp import DEFAULT_EXACT_LIMIT, SolverTag, max_path
-from .graph import Instance, cycle_edges, overlap_matrix, path_overlaps
+from .graph import Instance, overlap_matrix, path_overlaps
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,9 @@ def cycle_string(inst: Instance, cycle: Sequence[int]) -> str:
     Each part is ``s_i`` less its overlap with the next member, read from the
     instance's overlap matrix.
     """
-    ov = inst.overlap.w
     ss = inst.strings
-    return "".join(ss[i][:len(ss[i]) - int(ov[i, j])] for i, j in cycle_edges(cycle))
+    ov = path_overlaps(inst.overlap, (*cycle, cycle[0]))
+    return "".join(ss[i][:len(ss[i]) - o] for i, o in zip(cycle, ov))
 
 
 def representative(inst: Instance, cycle: Sequence[int]) -> Representative:
@@ -146,13 +146,16 @@ def solve_s2(inst: Instance) -> Solution:
     return replace(solve_s1(inst, SolverTag.CYCLE_COVER_HALF), algorithm="s2")
 
 
-def solve_combined(inst: Instance, path_solver: SolverTag = SolverTag.EXACT,
-                   limit: int = DEFAULT_EXACT_LIMIT) -> Solution:
-    """The shorter of solve_s1 and solve_s2 (ties favour s1)."""
-    s1 = solve_s1(inst, path_solver, limit)
-    s2 = solve_s2(inst)
+def better_of(s1: Solution, s2: Solution) -> Solution:
+    """The shorter of s1 and s2 (ties favour s1), as ``combined(<winner>)``."""
     winner = s1 if s1.length <= s2.length else s2
     return replace(winner, algorithm=f"combined({winner.algorithm})")
+
+
+def solve_combined(inst: Instance, path_solver: SolverTag = SolverTag.EXACT,
+                   limit: int = DEFAULT_EXACT_LIMIT) -> Solution:
+    """The better of solve_s1 and solve_s2."""
+    return better_of(solve_s1(inst, path_solver, limit), solve_s2(inst))
 
 
 def greedy_superstring(inst: Instance) -> Solution:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from superstring import atsp, cli
+from superstring import atsp, cli, pipeline
 from superstring.atsp import SolverTag
 from superstring.graph import overlap_matrix
 
@@ -199,6 +199,22 @@ def test_failed_validation_exits_3_with_message(tmp_path, capsys, monkeypatch,
     assert cli.main([command, path, "--json", str(out)]) == 3
     err = capsys.readouterr().err
     assert "internal error: output failed validation" in err.splitlines()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_internal_assertion_exits_3_with_one_line(tmp_path, capsys, monkeypatch,
+                                                  command):
+    merge = pipeline._merge_texts
+    monkeypatch.setattr(pipeline, "_merge_texts",
+                        lambda texts, overlaps: merge(texts, overlaps)[1:])
+    # two cover cycles, so s1 merges two representatives
+    path = write_instance(tmp_path, ["aab", "aba", "baa", "ccd", "cdc", "dcc"])
+    out = tmp_path / "r.json"
+    assert cli.main([command, path, "--json", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: pipeline output lost an input string\n"
     assert not out.exists()
 
 

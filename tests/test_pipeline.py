@@ -1,4 +1,5 @@
 import inspect
+import json
 import random
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import brute
-from superstring import atsp, cli, graph, words
+from superstring import atsp, cli, graph, pipeline, words
 from superstring.atsp import DEFAULT_EXACT_LIMIT, SolverLimitError, SolverTag, exact_max_path
 from superstring.graph import DegenerateInstanceError, Instance, normalize, path_overlaps
 from superstring.pipeline import (
@@ -293,11 +294,46 @@ def test_compare_reduces_the_instance_once(tmp_path, monkeypatch, capsys):
     path.write_text("\n".join(TWO_CYCLES) + "\n", encoding="utf-8")
     matrices = record_calls(monkeypatch, graph, "overlap_matrix")
     covers = record_calls(monkeypatch, graph, "min_cycle_cover")
+    reductions = record_calls(monkeypatch, pipeline, "representatives")
+    held_karp = record_calls(monkeypatch, atsp, "exact_max_path")
     assert cli.main(["compare", str(path)]) == 0
     rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]]
     assert rows == ["combined", "s1", "s2", "greedy", "exact"]
     assert matrices.count(TWO_CYCLES) == 1
+    assert len(matrices) == 3  # and one per s1/s2 run over the representatives
     assert len(covers) == 1
+    # s1 and s2 run once each, and the combined row is built from those runs
+    assert len(reductions) == 2
+    assert [m.n for m in held_karp] == [2, len(TWO_CYCLES)]  # s1's, exact's
+    reductions.clear()
+    assert cli.main(["solve", str(path)]) == 0
+    assert len(reductions) == 2
+    capsys.readouterr()
+
+
+# s2 is strictly shorter than s1 here when s1's path solver is greedy
+S2_BEATS_GREEDY_S1 = ("babaab", "aaabbaa", "ababbba", "aaaa")
+
+
+@pytest.mark.parametrize("tag", list(SolverTag), ids=lambda tag: tag.value)
+def test_compare_combined_row_is_the_better_of_its_s1_and_s2_rows(
+        tmp_path, capsys, tag):
+    s2_won = []
+    for k, strings in enumerate([TWO_CYCLES, S2_BEATS_GREEDY_S1,
+                                 ("abab", "babb", "bba", "aab")]):
+        path, out = tmp_path / f"{k}.txt", tmp_path / f"{k}.json"
+        path.write_text("\n".join(strings) + "\n", encoding="utf-8")
+        assert cli.main(["compare", str(path), "--path-solver", tag.value,
+                         "--json", str(out)]) == 0
+        rows = {r["algo"]: r for r in json.loads(out.read_text())["results"]}
+        s1, s2, combined = rows["s1"], rows["s2"], rows["combined"]
+        winner = s2 if s2["length"] < s1["length"] else s1
+        s2_won.append(winner is s2)
+        for key in ("length", "overlap", "order"):
+            assert combined[key] == winner[key]
+        assert combined["ms"] >= max(s1["ms"], s2["ms"])
+    assert any(s2_won) == (tag is SolverTag.GREEDY)
+    capsys.readouterr()
 
 
 # --------------------------------------------------------------------- exact
