@@ -11,6 +11,7 @@ Every solver starts from the same reduction of an instance: its overlap
 matrix and the exact minimum cycle cover of its prefix matrix (Blum et al.,
 JACM 1994).  ``Instance.overlap`` and ``Instance.cover`` compute each once
 per instance object, on first use, and every consumer reads them there.
+Each input is checked substring-free once, by ``normalize`` or ``Instance``.
 
 The overlap matrix comes from one sorted prefix index instead of per-pair
 scans, in the spirit of Gusfield, Landau & Schieber's all-pairs
@@ -72,7 +73,7 @@ _FIND_LETTERS = 64
 
 @dataclass(frozen=True)
 class Instance:
-    """A normalized set of input strings: distinct and substring-free.
+    """Two or more strings, none inside another: checked, unless from ``normalize``.
 
     ``overlap`` and ``cover`` are the instance's reduction, each computed on
     first use and kept on this object only: two equal instances compute
@@ -85,8 +86,6 @@ class Instance:
         ss = self.strings
         if len(ss) < 2:
             raise ValueError("degenerate instance")
-        if len(set(ss)) != len(ss):
-            raise ValueError("instance strings must be distinct")
         for i, j in enumerate(_first_containers(ss)):
             if j is not None:
                 raise ValueError(f"string {i!r} is a substring of string {j!r}")
@@ -139,28 +138,29 @@ def _first_containers(strings: Sequence[str]) -> list[int | None]:
 def normalize(raw: Sequence[str]) -> tuple[Instance, list[tuple[str, str]]]:
     """Drop duplicates and substrings of other inputs, keeping first occurrences.
 
-    Returns the instance together with a removal log of (reason, string)
-    pairs.  Raises DegenerateInstanceError (carrying the survivors and the
-    log) when fewer than two strings remain.
+    One ``_first_containers`` pass decides the survivors, which skip
+    ``Instance``'s re-scan.  Returns the instance with a removal log of
+    (reason, string) pairs.  Raises DegenerateInstanceError (carrying the
+    survivors and the log) when fewer than two strings remain.
     """
     log: list[tuple[str, str]] = []
-    seen: set[str] = set()
-    deduped: list[str] = []
+    deduped: dict[str, None] = {}  # the first copies, in input order
     for s in raw:
-        if s in seen:
+        if s in deduped:
             log.append(("duplicate", s))
-        else:
-            seen.add(s)
-            deduped.append(s)
+        deduped[s] = None
     survivors = []
-    for s, j in zip(deduped, _first_containers(deduped)):
+    for s, j in zip(deduped, _first_containers([*deduped])):
         if j is None:
             survivors.append(s)
         else:
             log.append(("substring", s))
     if len(survivors) < 2:
         raise DegenerateInstanceError(survivors, log)
-    return Instance(strings=tuple(survivors)), log
+    # no re-scan: a survivor has no container among deduped, so none among survivors
+    inst = object.__new__(Instance)
+    object.__setattr__(inst, "strings", tuple(survivors))
+    return inst, log
 
 
 @dataclass(frozen=True)

@@ -56,13 +56,32 @@ def test_normalize_keeps_clean_instance():
 def test_instance_validation():
     with pytest.raises(ValueError):
         Instance(strings=("ab",))
-    with pytest.raises(ValueError):
+    # equal strings contain each other: one rule refuses duplicates too
+    with pytest.raises(ValueError, match=r"^string 0 is a substring of string 1$"):
         Instance(strings=("ab", "ab"))
     with pytest.raises(ValueError):
         Instance(strings=("ab", "xaby"))
     # (1, 3), (1, 4), (2, 0) and (4, 3) all hold; row-major, (1, 3) is first
     with pytest.raises(ValueError, match=r"^string 1 is a substring of string 3$"):
         Instance(strings=("abcd", "xy", "bc", "wxyz", "xyz"))
+
+
+def test_normalize_runs_the_substring_free_rule_once(monkeypatch):
+    scans = []
+    first_containers = graph._first_containers
+
+    def counted(strings):
+        scans.append(list(strings))
+        return first_containers(strings)
+
+    monkeypatch.setattr(graph, "_first_containers", counted)
+    inst, log = normalize(["abc", "b", "bcd", "abc", "cde"])
+    assert (inst.strings, log) == (("abc", "bcd", "cde"),
+                                   [("duplicate", "abc"), ("substring", "b")])
+    assert scans == [["abc", "b", "bcd", "cde"]]
+    scans.clear()
+    assert Instance(inst.strings) == inst  # a direct Instance checks its own
+    assert scans == [["abc", "bcd", "cde"]]
 
 
 # ------------------------------------------------------------------ matrices
@@ -151,12 +170,13 @@ def test_normalize_matches_brute_force(raw):
         assert (exc.survivors, exc.log) == (survivors, log)
     else:
         assert (list(inst.strings), got_log) == (survivors, log)
+        assert Instance(inst.strings) == inst
 
 
 @given(affix_families())
 @settings(max_examples=300, deadline=None)
 def test_instance_refuses_the_first_row_major_substring_pair(raw):
-    strings = tuple(dict.fromkeys(raw))
+    strings = tuple(raw)
     if len(strings) < 2:
         return
     pair = brute.first_substring_pair(strings)

@@ -311,6 +311,23 @@ def test_compare_reduces_the_instance_once(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_half_path_solver_reduces_the_instance_once(tmp_path, monkeypatch, capsys):
+    # under half, s1 runs exactly what s2 runs: its row is s2's run relabelled
+    path, out = tmp_path / "inst.txt", tmp_path / "c.json"
+    path.write_text("\n".join(TWO_CYCLES) + "\n", encoding="utf-8")
+    reductions = record_calls(monkeypatch, pipeline, "representatives")
+    assert cli.main(["compare", str(path), "--path-solver", "half",
+                     "--json", str(out)]) == 0
+    assert len(reductions) == 1
+    rows = {r.pop("algo"): r for r in json.loads(out.read_text())["results"]}
+    assert rows["s1"] == rows["s2"] == rows["combined"]  # ms counted once
+    capsys.readouterr()
+    reductions.clear()
+    assert cli.main(["solve", str(path), "--path-solver", "half"]) == 0
+    assert len(reductions) == 1
+    assert "algorithm: combined(s1[half])" in capsys.readouterr().out.splitlines()
+
+
 # s2 is strictly shorter than s1 here when s1's path solver is greedy
 S2_BEATS_GREEDY_S1 = ("babaab", "aaabbaa", "ababbba", "aaaa")
 
