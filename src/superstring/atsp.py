@@ -4,9 +4,11 @@
 ``SolverTag`` member plus one branch of ``max_path``.  Three strategies:
 
 * exact_max_path: Held-Karp dynamic programming over node subsets, filled
-  with numpy array operations; exact but exponential, O(2^n n^2) time and a
-  2^n * n int64 table (8 MB at n=16).  A configurable node limit and a
-  fixed 1 GiB ceiling on the table (n <= 22) are checked before anything
+  one popcount layer at a time with numpy array operations; exact but
+  exponential, O(2^n n^2) time, a 2^n * n table of the narrowest integer
+  type that holds the path weights and an int32 index of its cells (6 MB
+  together at n=16 with int16).  A configurable node limit and a fixed
+  1 GiB ceiling on table plus index (n <= 22) are checked before anything
   is allocated.
 * cycle_cover_path: exact maximum cycle cover with the diagonal masked out,
   then drop the lightest edge of every cycle and chain the resulting paths.
@@ -74,47 +76,72 @@ class PathSolution:
 
 
 DEFAULT_EXACT_LIMIT = 16
-# Largest Held-Karp table, 2^n * n * 8 bytes, the exact solver allocates:
-# 738 MB at n=22, 1.5 GB at n=23.
+# Largest allocation the exact solver makes, its table plus its int32 cell
+# index, n * 2^n * (itemsize + 4) bytes: 738 MB at n=22 with an int32 table,
+# 1.2 GB at n=23 even with int16.
 _MAX_TABLE_BYTES = 1 << 30
-# Held-Karp table cells that hold no path, and greedy's infeasible edges;
-# adding a few weights to it can neither overflow int64 nor reach the weight
-# of a real path.
-_UNSET = np.iinfo(np.int64).min // 2
-# Candidate cells per numpy call in the Held-Karp fill: 128 KB of int64
+# (room, type, unset) for int16, int32 and int64, narrowest first.  A table
+# of the type holds values below room in absolute value; unset, the type's
+# minimum // 2, is -2 * room, so adding a value of the table or a weight to
+# it can neither overflow nor reach a held value.  Computed once here, since
+# np.iinfo costs about a microsecond per call.
+_INT_TYPES = tuple((-(np.iinfo(t).min // 4), np.dtype(t), np.iinfo(t).min // 2)
+                   for t in (np.int16, np.int32, np.int64))
+# Candidate cells per numpy call in the Held-Karp fill: 128 KB at int16
 # stays in cache and keeps peak memory close to the table's own size.
-_BLOCK_CELLS = 1 << 14
+_BLOCK_CELLS = 1 << 16
+
+
+def int_table_type(peak: int) -> tuple[np.dtype, int]:
+    """The narrowest of int16, int32 and int64 for a table whose values are
+    at most ``peak`` in absolute value, and that type's unset value."""
+    for room, dtype, unset in _INT_TYPES:
+        if peak < room:
+            return dtype, unset
+    raise ValueError(f"values up to {peak} do not fit an int64 table")
 
 
 _Layout = tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]
 # Subset layouts kept for reuse, n -> layout, only for n <= DEFAULT_EXACT_LIMIT:
-# about 1 MB in all.  A larger layout is rebuilt per call, a small cost next
-# to its DP, instead of staying in memory for the life of the process (32 MB
-# at n = 22).
+# 4 * (n + 1) * 2^n bytes each, 1.0 MB at n=14 and 4.5 MB at n=16.  A larger
+# layout is built per call, a small cost next to its DP, instead of staying
+# in memory for the life of the process (385 MB at n = 22).
 _LAYOUTS: dict[int, _Layout] = {}
 
 
 def _subset_layout(n: int) -> _Layout:
     """What the Held-Karp fill needs that depends on n alone.
 
-    Every n-bit mask by ascending popcount (ascending value within one
-    popcount), ``bit[f] = 1 << f``, the flat table cell of the path
-    ``f -> j`` (of ``f`` alone where ``j == f``), and where each popcount's
-    run of masks ends.  Building these takes more numpy calls than a small
-    DP itself, so they are kept in ``_LAYOUTS`` for each n up to
-    ``DEFAULT_EXACT_LIMIT``: read-only, 8 * 2^n bytes plus O(n^2), 1/n of
-    that n's table.
+    Positions number the n-bit masks by ascending popcount, ascending value
+    within one popcount, so each popcount's masks are one run of positions
+    and the empty mask is position 0.  ``pos[mask]`` is the position of
+    ``mask``.  ``push[f, p]`` is the flat table cell of the path that puts
+    node ``f`` before the mask at position ``p``, cell ``(f, pos[mask |
+    bit(f)])``, or the trash cell 0 where ``f`` is in the mask already:
+    cell ``(0, 0)`` is the empty mask's, which no path has.  ``layer_ends``
+    are where each popcount's run of positions ends.  Both arrays are int32
+    and ``push`` is built one row at a time, so no temporary holds more
+    than 2^n cells.  Building them takes more numpy calls than a small DP
+    itself, so they are kept in ``_LAYOUTS`` for each n up to
+    ``DEFAULT_EXACT_LIMIT``: read-only, 4 * (n + 1) * 2^n bytes.
     """
     layout = _LAYOUTS.get(n)
     if layout is not None:
         return layout
+    size = 1 << n
     popcount = np.zeros(1, dtype=np.int8)
     for _ in range(n):
         popcount = np.concatenate((popcount, popcount + 1))
-    nodes = np.arange(n)
-    bit = 1 << nodes
-    arrays = (popcount.argsort(kind="stable"), bit,
-              (nodes << n)[:, None] + (bit[:, None] | bit))
+    masks = popcount.argsort(kind="stable").astype(np.int32)
+    pos = np.empty(size, dtype=np.int32)
+    pos[masks] = np.arange(size, dtype=np.int32)
+    push = np.empty((n, size), dtype=np.int32)
+    for f, cells in enumerate(push):
+        np.add(pos[masks | (1 << f)], f * size, out=cells)
+        cells[masks & (1 << f) != 0] = 0
+    edge_cells = push[:, 1:n + 1].astype(np.intp)
+    np.fill_diagonal(edge_cells, push[:, 0])
+    arrays = (pos, push, edge_cells)
     for a in arrays:
         a.flags.writeable = False
     layout = (*arrays, tuple(accumulate(comb(n, k) for k in range(n + 1))))
@@ -126,15 +153,22 @@ def _subset_layout(n: int) -> _Layout:
 def exact_max_path(m: WeightMatrix, limit: int = DEFAULT_EXACT_LIMIT) -> PathSolution:
     """Maximum-weight Hamiltonian path by Held-Karp subset DP in numpy.
 
-    ``best[first, mask]`` is the largest weight of a path that visits exactly
-    the nodes of ``mask`` and starts at ``first``.  It is filled one popcount
-    layer at a time, ``max_j w[first, j] + best[j, mask ^ bit(first)]``, for
-    a block of masks and every ``first`` per numpy call.  Time is
-    O(2^n n^2); the int64 table takes 2^n * n * 8 bytes (8 MB at n=16), and
-    no temporary holds more cells than the table or than 2^14 (128 KB).
-    ``limit`` and the 1 GiB table ceiling are checked before anything is
-    allocated.  Weights must stay below 2^58 / n in absolute value, far
-    above any overlap length.
+    ``best[first, p]`` is the largest weight of a path that visits exactly
+    the nodes of the mask at position ``p`` (see ``_subset_layout``) and
+    starts at ``first``.  It is filled one popcount layer at a time by
+    pushing: for a block of masks of the layer below and every ``first``,
+    ``max_j w[first, j] + best[j, mask]`` in one broadcast add and one
+    reduction, written to ``(first, mask | bit(first))`` through the
+    layout's cell index.  Every written cell but the trash cell holds a
+    real path; cells that hold no path are never written and stay unset.
+    Time is O(2^n n^2).  The table is the narrowest of int16, int32 and
+    int64 that holds n times the largest absolute weight (int16 below 2^13,
+    int32 below 2^29, int64 below 2^61, ValueError from there on); with the
+    index it takes n * 2^n * (itemsize + 4) bytes (6 MB at n=16 with
+    int16), and the fill's temporaries hold at most 2^16 cells.  ``limit``
+    and the 1 GiB ceiling on table plus index are checked before either is
+    allocated: a matrix whose n * max|w| is below 2^29 is refused from
+    n=23 on, one that needs int64 from n=22 on.
 
     Ties resolve to the lexicographically smallest node order: the path is
     rebuilt from the front, always taking the smallest node that keeps the
@@ -143,35 +177,34 @@ def exact_max_path(m: WeightMatrix, limit: int = DEFAULT_EXACT_LIMIT) -> PathSol
     n = m.n
     if n > limit:
         raise SolverLimitError(f"exact solver limit: n={n} exceeds {limit}")
-    if (n << n) * 8 > _MAX_TABLE_BYTES:
+    # a Python max reads a small matrix faster than a numpy reduction
+    dtype, unset = int_table_type(n * max(map(abs, m.w.ravel().tolist())))
+    if (n << n) * (dtype.itemsize + 4) > _MAX_TABLE_BYTES:
         raise TableSizeError(f"exact solver table for n={n} would exceed "
                              f"{_MAX_TABLE_BYTES >> 30} GiB")
-    w = m.w
     size = 1 << n
-    masks, bit, edge_cells, layer_ends = _subset_layout(n)
+    pos, push, edge_cells, layer_ends = _subset_layout(n)
+    w = m.w.astype(dtype)
+    best = np.full((n, size), unset, dtype=dtype)
     # Paths of two nodes are single edges and paths of one node weigh 0.
-    # Above that, cells whose first node lies outside the mask are filled
-    # too, from still-unset supersets, so they stay within a few weights of
-    # _UNSET and never win a max against a real path.
-    best = np.full((n, size), _UNSET, dtype=np.int64)
     best.put(edge_cells, w)
     best.put(edge_cells.diagonal(), 0)
-    w_by_next = w.T[:, None, :]
-    step = min(_BLOCK_CELLS, n * size) // (n * n)
-    for lo_layer, hi_layer in zip(layer_ends[2:-1], layer_ends[3:]):
+    w_by_first = w.T[:, :, None]
+    step = _BLOCK_CELLS // (n * n)
+    # push each layer of 2 to n - 1 nodes to the next
+    for lo_layer, hi_layer in zip(layer_ends[1:-2], layer_ends[2:-1]):
         for lo in range(lo_layer, hi_layer, step):
-            block = masks[lo:min(lo + step, hi_layer)]
-            # cand[j, b, first] = best[j, block[b] ^ bit(first)] + w[first, j]
-            cand = best.take(block[:, None] ^ bit, axis=1)
-            cand += w_by_next
-            best.T[block] = cand.max(axis=0)
-    mask = size - 1
+            hi = min(lo + step, hi_layer)
+            # cand[j, first, b] = best[j, lo + b] + w[first, j]
+            cand = best[:, None, lo:hi] + w_by_first
+            best.put(push[:, lo:hi], cand.max(axis=0))
+    mask = size - 1  # the full mask, at the last position
     cur = int(best[:, mask].argmax())  # argmax returns the first maximum
     total = int(best[cur, mask])
     order = [cur]
     for _ in range(n - 1):
         mask ^= 1 << cur
-        cur = int((w[cur] + best[:, mask]).argmax())
+        cur = int((w[cur] + best[:, pos.item(mask)]).argmax())
         order.append(cur)
     return PathSolution(order=tuple(order), weight=total,
                         solver_tag=SolverTag.EXACT)
@@ -202,8 +235,9 @@ def cycle_cover_path(m: WeightMatrix) -> PathSolution:
 def greedy_max_path(m: WeightMatrix) -> PathSolution:
     """Heaviest-feasible-edge greedy; ties broken by smallest (i, j) pair.
 
-    ``w[i, j]`` keeps the weight of every edge that still extends the chosen
-    edges to a Hamiltonian path and ``_UNSET`` elsewhere, so its row-major
+    ``w[i, j]``, in the narrowest type that holds the weights, keeps the
+    weight of every edge that still extends the chosen edges to a
+    Hamiltonian path and that type's unset value elsewhere, so its row-major
     first maximum is the first feasible edge in ``(-weight, i, j)`` order.
     Taking ``i -> j`` masks row ``i``, column ``j`` and the one edge from
     the new path's tail back to its head.  Feasibility only ever shrinks,
@@ -212,8 +246,9 @@ def greedy_max_path(m: WeightMatrix) -> PathSolution:
     weight in general and half on overlap matrices (``ratio_guarantee``).
     """
     n = m.n
-    w = m.w.astype(np.int64)
-    np.fill_diagonal(w, _UNSET)
+    dtype, unset = int_table_type(max(int(m.w.max()), -int(m.w.min())))
+    w = m.w.astype(dtype)
+    np.fill_diagonal(w, unset)
     succ = [-1] * n
     end = list(range(n))  # the other end of the path each path end is on
     head = 0
@@ -222,7 +257,7 @@ def greedy_max_path(m: WeightMatrix) -> PathSolution:
         succ[i] = j
         head, tail = end[i], end[j]
         end[head], end[tail] = tail, head
-        w[i] = w[:, j] = w[tail, head] = _UNSET
+        w[i] = w[:, j] = w[tail, head] = unset
     order = [head]
     for _ in range(n - 1):
         order.append(succ[order[-1]])

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import words
-from .atsp import DEFAULT_EXACT_LIMIT, SolverTag, max_path
+from .atsp import DEFAULT_EXACT_LIMIT, SolverTag, int_table_type, max_path
 from .graph import Instance, overlap_matrix, path_overlaps
 
 
@@ -154,7 +154,11 @@ def better_of(s1: Solution, s2: Solution) -> Solution:
 
 def solve_combined(inst: Instance, path_solver: SolverTag = SolverTag.EXACT,
                    limit: int = DEFAULT_EXACT_LIMIT) -> Solution:
-    """The better of solve_s1 and solve_s2."""
+    """The better of solve_s1 and solve_s2.  Under ``half`` s1 runs exactly
+    what s2 runs, so s2's run is relabelled ``s1[half]`` instead of repeated."""
+    if path_solver is SolverTag.CYCLE_COVER_HALF:
+        s2 = solve_s2(inst)
+        return better_of(replace(s2, algorithm="s1[half]"), s2)
     return better_of(solve_s1(inst, path_solver, limit), solve_s2(inst))
 
 
@@ -175,8 +179,11 @@ def greedy_superstring(inst: Instance) -> Solution:
     """
     n = len(inst)
     # ov[i, j] is the overlap of live chains i != j and -1 everywhere else,
-    # so the row-major first maximum is the tie-broken best pair.
-    ov = inst.overlap.w.copy()
+    # so the row-major first maximum is the tie-broken best pair.  It is a
+    # copy in the narrowest type that holds the longest string, and so every
+    # overlap, which makes each argmax cheaper.
+    longest = max(map(len, inst.strings))
+    ov = inst.overlap.w.astype(int_table_type(longest)[0])
     np.fill_diagonal(ov, -1)
     chains = {i: [i] for i in range(n)}
     while len(chains) > 1:

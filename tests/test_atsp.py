@@ -11,6 +11,7 @@ from superstring import atsp
 from superstring.atsp import (
     SolverLimitError,
     SolverTag,
+    TableSizeError,
     cycle_cover_path,
     exact_max_path,
     greedy_max_path,
@@ -77,16 +78,24 @@ class TableBuilt(Exception):
 
 
 def test_exact_table_ceiling_refuses_before_allocating(monkeypatch):
-    # 2^23 * 23 * 8 bytes is above the 1 GiB ceiling and 2^22 * 22 * 8 below
-    # it; the stand-in layout raises where the table would be built
+    # table plus int32 index: n * 2^n * (itemsize + 4) bytes against the
+    # 1 GiB ceiling.  Any matrix with n * max|w| below 2^29 gets an int16 or
+    # int32 table, so n = 22 (553 or 738 MB) is built and n = 23 (1.2 or
+    # 1.5 GB) refused; an int64 table is refused at n = 22 (1.1 GB).  The
+    # stand-in layout raises where the table would be built.
     def no_table(n):
         raise TableBuilt(n)
 
     monkeypatch.setattr(atsp, "_subset_layout", no_table)
-    with pytest.raises(SolverLimitError):
-        exact_max_path(matrix([[0] * 23 for _ in range(23)]), limit=30)
+    for weight in (0, 1, (1 << 29) // 23 - 1):
+        with pytest.raises(TableSizeError):
+            exact_max_path(matrix([[weight] * 23 for _ in range(23)]), limit=30)
+        with pytest.raises(TableBuilt):
+            exact_max_path(matrix([[weight] * 22 for _ in range(22)]), limit=22)
+    with pytest.raises(TableSizeError):
+        exact_max_path(matrix([[1 << 29] * 22 for _ in range(22)]), limit=22)
     with pytest.raises(TableBuilt):
-        exact_max_path(matrix([[0] * 22 for _ in range(22)]), limit=22)
+        exact_max_path(matrix([[1 << 29] * 21 for _ in range(21)]), limit=21)
 
 
 def test_layouts_above_the_default_limit_are_not_kept():
@@ -99,6 +108,59 @@ def test_layouts_above_the_default_limit_are_not_kept():
     exact_max_path(matrix([row[:5] for row in w[:5]]))
     assert 5 in atsp._LAYOUTS
     assert max(atsp._LAYOUTS) <= atsp.DEFAULT_EXACT_LIMIT
+    assert not any(a.flags.writeable for a in atsp._LAYOUTS[5][:-1])
+
+
+def test_exact_finds_a_planted_path_above_the_cached_layouts():
+    # n = 18 builds its layout for the call.  The planted edges weigh 100
+    # and every other edge at most 9, so the planted order, 1700, beats any
+    # path that leaves out a planted edge (at most 16 * 100 + 9).
+    rng = random.Random(18)
+    n = 18
+    planted = rng.sample(range(n), n)
+    rows = [[rng.randint(0, 9) for _ in range(n)] for _ in range(n)]
+    for a, b in zip(planted, planted[1:]):
+        rows[a][b] = 100
+    sol = exact_max_path(matrix(rows), limit=n)
+    assert (sol.order, sol.weight) == (tuple(planted), 100 * (n - 1))
+    assert n not in atsp._LAYOUTS
+
+
+@pytest.mark.parametrize("peak, dtype", [
+    (0, np.int16), ((1 << 13) - 1, np.int16), (1 << 13, np.int32),
+    ((1 << 29) - 1, np.int32), (1 << 29, np.int64), ((1 << 61) - 1, np.int64),
+])
+def test_table_type_cutoffs(peak, dtype):
+    # the narrowest type whose unset value, its minimum // 2, plus or minus
+    # a held value neither overflows nor reaches one
+    got, unset = atsp.int_table_type(peak)
+    assert got == np.dtype(dtype)
+    assert unset == np.iinfo(dtype).min // 2
+    assert np.iinfo(dtype).min < unset - peak and unset + peak < -peak
+
+
+def test_table_type_refuses_weights_past_int64():
+    with pytest.raises(ValueError):
+        atsp.int_table_type(1 << 61)
+    with pytest.raises(ValueError):
+        exact_max_path(matrix([[0, 1 << 60], [-(1 << 60), 0]]))
+
+
+@pytest.mark.parametrize("n, weight", [
+    (2, (1 << 12) - 1), (2, 1 << 12), (8, (1 << 10) - 1), (8, 1 << 10),
+    (8, (1 << 13) - 1), (8, (1 << 26) - 1), (8, 1 << 26), (8, (1 << 29) - 1),
+    (3, (1 << 61) // 3),
+])
+def test_exact_matches_enumeration_at_the_type_cutoffs(n, weight):
+    # n * weight sits just below or at a cutoff, or the weight alone just
+    # below one, with the largest weights of both signs on paths, so a
+    # table one type too narrow would wrap
+    rng = random.Random(weight)
+    rows = [[rng.choice((-weight, weight, weight - 1, 0)) for _ in range(n)]
+            for _ in range(n)]
+    sol = exact_max_path(matrix(rows))
+    assert sol.order == brute.max_path_order(rows)
+    assert sol.weight == brute.max_path_weight(rows)
 
 
 def test_exact_tie_breaks_to_lexicographically_smallest_order():
@@ -125,19 +187,30 @@ def test_exact_tie_break_matches_enumeration():
         assert exact_max_path(matrix(rows)).order == brute.max_path_order(rows)
 
 
-# weights 0-2 force ties; weights up to 2^40 keep path sums far from the
-# table's int64 sentinel and from overflow
-oracle_matrices = st.tuples(st.integers(min_value=1, max_value=8),
-                            st.sampled_from([2, 2 ** 40])).flatmap(
-    lambda nw: st.lists(
-        st.lists(st.integers(min_value=0, max_value=nw[1]),
-                 min_size=nw[0], max_size=nw[0]),
-        min_size=nw[0], max_size=nw[0]))
+# Matrices of a few values each, so rows tie, of both signs, with one cell
+# at the scale: n * scale selects an int16 (1000), int32 (2^20) or int64
+# (2^40) table for every n up to 8.
+TABLE_SCALES = {1000: np.int16, 1 << 20: np.int32, 1 << 40: np.int64}
 
 
-@given(oracle_matrices)
-@settings(max_examples=120, deadline=None)
-def test_exact_order_matches_permutation_oracle(rows):
+@st.composite
+def oracle_matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    scale = draw(st.sampled_from(sorted(TABLE_SCALES)))
+    values = st.sampled_from([0, 1, 2, -1, scale, scale - 1, -scale, 1 - scale])
+    rows = draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    rows[i][j] = draw(st.sampled_from([scale, -scale]))
+    return scale, rows
+
+
+@given(oracle_matrices())
+@settings(max_examples=200, deadline=None)
+def test_exact_order_matches_permutation_oracle(scale_rows):
+    scale, rows = scale_rows
+    n = len(rows)
+    assert atsp.int_table_type(n * scale)[0] == np.dtype(TABLE_SCALES[scale])
     sol = exact_max_path(matrix(rows))
     assert sol.order == brute.max_path_order(rows)
     assert sol.weight == brute.max_path_weight(rows)

@@ -2,6 +2,7 @@ import inspect
 import json
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -287,6 +288,16 @@ def test_solve_combined_reduces_the_instance_once(monkeypatch):
     assert matrices.count(TWO_CYCLES) == 1
     assert len(matrices) == 3  # and one per s1/s2 over the two representatives
     assert len(covers) == 1
+
+
+def test_solve_combined_under_half_reduces_once(monkeypatch):
+    # under half, s1 runs exactly what s2 runs: s2's run is relabelled
+    inst = inst_of(*TWO_CYCLES)
+    reductions = record_calls(monkeypatch, pipeline, "representatives")
+    sol = solve_combined(inst, SolverTag.CYCLE_COVER_HALF)
+    assert len(reductions) == 1
+    s2 = solve_s2(inst)
+    assert sol == replace(s2, algorithm="combined(s1[half])")
 
 
 def test_compare_reduces_the_instance_once(tmp_path, monkeypatch, capsys):
