@@ -1,7 +1,8 @@
 """Maximum-weight directed Hamiltonian path solvers, looked up by name.
 
 ``max_path`` runs the solver a ``SolverTag`` names.  A new solver is one
-``SolverTag`` member plus one branch of ``max_path``.  Three strategies:
+``SolverTag`` member, one branch of ``max_path`` and one ``_GUARANTEES``
+entry, without which ``ratio_guarantee`` raises KeyError.  Three strategies:
 
 * exact_max_path: Held-Karp dynamic programming over node subsets, filled
   one popcount layer at a time with numpy array operations; exact but

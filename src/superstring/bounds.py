@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -413,7 +414,7 @@ class CampaignResult:
     name: str
     cases: int = 0
     checks_run: int = 0
-    applicable_counts: dict = field(default_factory=dict)
+    applicable_counts: Counter = field(default_factory=Counter)
     violations: list[dict] = field(default_factory=list)
     anomalies: list[str] = field(default_factory=list)
     skipped: int = 0  # cycles left out of the checks as outside the theory
@@ -430,8 +431,7 @@ class CampaignResult:
         for rep in reports:
             self.checks_run += 1
             if rep.applicable:
-                self.applicable_counts[rep.check_id] = \
-                    self.applicable_counts.get(rep.check_id, 0) + 1
+                self.applicable_counts[rep.check_id] += 1
             if not rep.holds:
                 entry = rep.to_jsonable()
                 entry["context"] = context
@@ -443,8 +443,7 @@ class CampaignResult:
         the result of the unsplit range."""
         self.cases += other.cases
         self.checks_run += other.checks_run
-        for key, count in other.applicable_counts.items():
-            self.applicable_counts[key] = self.applicable_counts.get(key, 0) + count
+        self.applicable_counts.update(other.applicable_counts)
         self.violations.extend(other.violations)
         self.anomalies.extend(other.anomalies)
         self.skipped += other.skipped

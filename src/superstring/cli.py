@@ -29,23 +29,13 @@ import os
 import random
 import re
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from datetime import datetime, timezone
 
 from . import bounds
 from .atsp import DEFAULT_EXACT_LIMIT, SolverLimitError, SolverTag, TableSizeError
-from .graph import DegenerateInstanceError, Instance, normalize
-from .pipeline import (
-    Solution,
-    better_of,
-    exact_superstring,
-    greedy_superstring,
-    solve_s1,
-    solve_s2,
-    validate_superstring,
-)
+from .graph import DegenerateInstanceError, normalize
+from .pipeline import ALGORITHMS, Solution, solve_each, validate_superstring
 
 _NOT_PRINTABLE = re.compile(r"[^!-~]")  # anything but printable non-space ASCII
 
@@ -112,25 +102,6 @@ def _write_json(path: str | None, obj: dict) -> None:
         _write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _timed(fn, *a, **kw):
-    t0 = time.perf_counter()
-    out = fn(*a, **kw)
-    return out, (time.perf_counter() - t0) * 1000.0
-
-
-_ALGOS = ("combined", "s1", "s2", "greedy", "exact")
-
-
-def _run_algo(algo: str, inst: Instance, path_solver: SolverTag, exact_limit: int):
-    if algo == "s1":
-        return solve_s1(inst, path_solver, exact_limit)
-    if algo == "s2":
-        return solve_s2(inst)
-    if algo == "greedy":
-        return greedy_superstring(inst)
-    return exact_superstring(inst, limit=exact_limit)
-
-
 def _result_entry(algo: str, sol, ms: float) -> dict:
     return {"algo": algo, "length": sol.length, "overlap": sol.total_overlap,
             "order": list(sol.order), "ms": round(ms, 3)}
@@ -147,11 +118,10 @@ def _print_table(results: list[dict]) -> None:
 def cmd_run(args, argv) -> int:
     """``solve`` runs ``--algo`` and prints its text; ``compare`` runs every
     algorithm, ``exact`` only up to ``--exact-limit`` nodes, and prints a
-    table.  No algorithm runs twice, and under ``half`` s1 is s2's run
-    relabelled: a ``combined`` row is ``better_of`` the command's s1 and s2
-    rows, its ms counting each run once.  Each text is validated (exit 3 on
-    failure) before the report is written, so ``run == held == len(results)``
-    in every report.  A one-string input is solved by that string, untimed."""
+    table.  ``pipeline.solve_each`` runs them and holds the run rules.  Each
+    text is validated (exit 3 on failure) before the report is written, so
+    ``run == held == len(results)`` in every report.  A one-string input is
+    solved by that string, untimed."""
     report, single = _report_skeleton(argv), None
     try:
         inst, removed = normalize(read_instance_file(args.input))
@@ -167,24 +137,12 @@ def cmd_run(args, argv) -> int:
     if args.command == "solve":
         algos = [args.algo]
     else:
-        algos = [a for a in _ALGOS if a != "exact" or n <= args.exact_limit]
-    solver = SolverTag(args.path_solver)
-    half = solver is SolverTag.CYCLE_COVER_HALF  # s1 then runs exactly what s2 runs
-
-    @functools.cache
-    def run(algo):
-        if single is not None:
-            return Solution((0,), single, 0, algo), 0.0
-        if algo == "s1" and half:
-            sol, ms = run("s2")
-            return replace(sol, algorithm="s1[half]"), ms
-        if algo != "combined":
-            return _timed(_run_algo, algo, inst, solver, args.exact_limit)
-        (s1, ms1), (s2, ms2) = run("s1"), run("s2")
-        return better_of(s1, s2), ms2 + (0.0 if half else ms1)
-
-    for algo in algos:
-        sol, ms = run(algo)
+        algos = [a for a in ALGORITHMS if a != "exact" or n <= args.exact_limit]
+    if single is None:
+        rows = solve_each(inst, algos, SolverTag(args.path_solver), args.exact_limit)
+    else:
+        rows = ((algo, Solution((0,), single, 0, algo), 0.0) for algo in algos)
+    for algo, sol, ms in rows:
         if single is None and not validate_superstring(inst, sol.text):
             print("internal error: output failed validation", file=sys.stderr)
             return 3
@@ -310,14 +268,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write a JSON run report to OUT")
         p.add_argument("--exact-limit", type=int, default=DEFAULT_EXACT_LIMIT,
                        help="node limit for the exact solvers (numpy subset "
-                            "DP: time grows as 2^n*n^2, memory as 2^n*n*8 "
-                            "bytes, 8 MB at 16; refused above 1 GiB, n > 22)")
+                            "DP: time grows as 2^n*n^2, table plus index as "
+                            "n*2^n*(itemsize+4) bytes, 6 MB at 16 with int16, "
+                            "738 MB at 22 with int32; refused from n=23, or "
+                            "from n=22 when n*max|w| >= 2^29)")
         p.add_argument("--path-solver", choices=[t.value for t in SolverTag],
                        default=SolverTag.EXACT.value)
 
     p = sub.add_parser("solve", help="compute one superstring")
     p.add_argument("input", help="instance file, one string per line")
-    p.add_argument("--algo", choices=_ALGOS, default="combined")
+    p.add_argument("--algo", choices=ALGORITHMS, default="combined")
     add_common(p)
     p.set_defaults(func=cmd_run)
 

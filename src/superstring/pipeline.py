@@ -10,18 +10,22 @@ The main route reduces the instance to a small set of *representatives*:
 3. solve a maximum-path problem on the overlap graph of the representatives
    and merge them along the resulting order.
 
-``solve_s1`` runs this with the path solver named by a ``SolverTag``,
-``solve_s2`` with the cycle-cover/drop-lightest-edge solver, and
-``solve_combined`` returns ``better_of`` the two.  ``greedy_superstring``
-and ``exact_superstring`` are the classic baselines.  All of them read the
-instance's overlap matrix and cover (``Instance.overlap``,
-``Instance.cover``), which each instance computes once.
+``solve_s1`` runs this with the path solver named by a ``SolverTag`` and
+``solve_s2`` with the cycle-cover/drop-lightest-edge solver;
+``greedy_superstring`` and ``exact_superstring`` are the classic baselines.
+All of them read the instance's overlap matrix and cover (``Instance.overlap``,
+``Instance.cover``), which each instance computes once.  ``solve_each`` runs
+the ``ALGORITHMS`` by name and holds the run rules (s1 under ``half`` is s2's
+run; ``combined`` is ``better_of`` s1 and s2); ``solve_combined`` and the
+``solve``/``compare`` commands go through it.
 """
 
 from __future__ import annotations
 
+import functools
+import time
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -152,16 +156,6 @@ def better_of(s1: Solution, s2: Solution) -> Solution:
     return replace(winner, algorithm=f"combined({winner.algorithm})")
 
 
-def solve_combined(inst: Instance, path_solver: SolverTag = SolverTag.EXACT,
-                   limit: int = DEFAULT_EXACT_LIMIT) -> Solution:
-    """The better of solve_s1 and solve_s2.  Under ``half`` s1 runs exactly
-    what s2 runs, so s2's run is relabelled ``s1[half]`` instead of repeated."""
-    if path_solver is SolverTag.CYCLE_COVER_HALF:
-        s2 = solve_s2(inst)
-        return better_of(replace(s2, algorithm="s1[half]"), s2)
-    return better_of(solve_s1(inst, path_solver, limit), solve_s2(inst))
-
-
 def greedy_superstring(inst: Instance) -> Solution:
     """Repeatedly merge the pair of current chains with the largest overlap.
 
@@ -206,6 +200,51 @@ def exact_superstring(inst: Instance, limit: int = DEFAULT_EXACT_LIMIT) -> Solut
     order = max_path(m, limit=limit).order
     text = _merge_texts([inst.strings[i] for i in order], path_overlaps(m, order))
     return _solution(inst, order, text, "exact")
+
+
+ALGORITHMS = ("combined", "s1", "s2", "greedy", "exact")
+
+
+def solve_each(inst: Instance, algos: Sequence[str],
+               path_solver: SolverTag = SolverTag.EXACT, limit: int = DEFAULT_EXACT_LIMIT
+               ) -> Iterator[tuple[str, Solution, float]]:
+    """``(algo, Solution, ms)`` for each ``ALGORITHMS`` name in ``algos``, in
+    that order, each run only when its row is asked for.  Each of s1, s2,
+    greedy and exact runs at most once; under ``half`` s1 runs exactly what
+    s2 runs, so its row is s2's run relabelled ``s1[half]``; ``combined`` is
+    ``better_of`` the s1 and s2 runs, the ms of each counted once.  Solvers
+    are looked up at call time, so a rebound one is the one that runs."""
+    half = path_solver is SolverTag.CYCLE_COVER_HALF
+
+    @functools.cache
+    def run(algo):
+        if algo == "combined":
+            (s1, ms1), (s2, ms2) = run("s1"), run("s2")
+            return better_of(s1, s2), ms2 if half else ms1 + ms2
+        if algo == "s1" and half:
+            sol, ms = run("s2")
+            return replace(sol, algorithm="s1[half]"), ms
+        t0 = time.perf_counter()
+        if algo == "s1":
+            sol = solve_s1(inst, path_solver, limit)
+        elif algo == "s2":
+            sol = solve_s2(inst)
+        elif algo == "greedy":
+            sol = greedy_superstring(inst)
+        elif algo == "exact":
+            sol = exact_superstring(inst, limit=limit)
+        else:
+            raise ValueError(f"unknown algorithm {algo!r}")
+        return sol, (time.perf_counter() - t0) * 1000.0
+
+    for algo in algos:
+        yield (algo, *run(algo))
+
+
+def solve_combined(inst: Instance, path_solver: SolverTag = SolverTag.EXACT,
+                   limit: int = DEFAULT_EXACT_LIMIT) -> Solution:
+    """The better of solve_s1 and solve_s2: ``solve_each``'s combined run."""
+    return next(solve_each(inst, ("combined",), path_solver, limit))[1]
 
 
 def validate_superstring(inst: Instance, text: str) -> bool:

@@ -218,18 +218,21 @@ def test_internal_assertion_exits_3_with_one_line(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tag", list(SolverTag), ids=lambda tag: tag.value)
 @pytest.mark.parametrize("lines", [["abab", "babb", "bba", "aab"],
                                    ["abc", "b", "abc"]], ids=["four", "one"])
-def test_solve_reports_its_row_of_compare(tmp_path, capsys, lines):
+def test_solve_reports_its_row_of_compare(tmp_path, capsys, lines, tag):
     path = write_instance(tmp_path, lines)
     out = str(tmp_path / "r.json")
-    assert cli.main(["compare", path, "--json", out]) == 0
+    solver = ["--path-solver", tag.value]
+    assert cli.main(["compare", path, *solver, "--json", out]) == 0
     compare = scrub(load_json(out))
     rows = {r["algo"]: r for r in compare["results"]}
-    assert list(rows) == list(cli._ALGOS)
+    assert list(rows) == list(pipeline.ALGORITHMS)
     reports = [compare]
-    for algo in cli._ALGOS:
-        assert cli.main(["solve", path, "--algo", algo, "--json", out]) == 0
+    for algo in pipeline.ALGORITHMS:
+        assert cli.main(["solve", path, "--algo", algo, *solver,
+                         "--json", out]) == 0
         solve = scrub(load_json(out))
         assert solve["instance"] == compare["instance"]
         assert solve["results"] == [rows[algo]]
@@ -489,7 +492,7 @@ def test_unwritable_json_is_refused_before_any_work(tmp_path, capsys,
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the output was checked")
 
-    for name in ("_run_algo", "_run_fuzz"):
+    for name in ("solve_each", "_run_fuzz"):
         monkeypatch.setattr(cli, name, no_work)
     monkeypatch.setattr(cli.bounds, "tight_sweep", no_work)
     inst = write_instance(tmp_path, ["abc", "bcd", "cde"])

@@ -300,6 +300,54 @@ def test_solve_combined_under_half_reduces_once(monkeypatch):
     assert sol == replace(s2, algorithm="combined(s1[half])")
 
 
+ORDERS = [pipeline.ALGORITHMS, pipeline.ALGORITHMS[::-1],
+          ("exact", "s2", "combined", "greedy", "s1"),
+          ("s1", "greedy", "s2", "exact", "combined")]
+
+
+@pytest.mark.parametrize("tag", list(SolverTag), ids=lambda tag: tag.value)
+@pytest.mark.parametrize("algos", ORDERS, ids=lambda algos: "-".join(algos))
+def test_solve_each_runs_each_solver_once(monkeypatch, tag, algos):
+    inst = inst_of(*TWO_CYCLES)
+    half = tag is SolverTag.CYCLE_COVER_HALF
+    expected = {"s1": replace(solve_s2(inst), algorithm="s1[half]") if half
+                else solve_s1(inst, tag),
+                "s2": solve_s2(inst),
+                "greedy": greedy_superstring(inst),
+                "exact": exact_superstring(inst)}
+    expected["combined"] = pipeline.better_of(expected["s1"], expected["s2"])
+    reductions = record_calls(monkeypatch, pipeline, "representatives")
+    greedy = record_calls(monkeypatch, pipeline, "greedy_superstring")
+    exact = record_calls(monkeypatch, pipeline, "exact_superstring")
+    rows = list(pipeline.solve_each(inst, algos, tag))
+    assert [algo for algo, _, _ in rows] == list(algos)
+    assert (len(reductions), len(greedy), len(exact)) == (1 if half else 2, 1, 1)
+    sols = {algo: sol for algo, sol, _ in rows}
+    ms = {algo: t for algo, _, t in rows}
+    assert sols == expected
+    assert ms["combined"] == (ms["s2"] if half else ms["s1"] + ms["s2"])
+    if half:
+        assert ms["s1"] == ms["s2"]
+    reductions.clear()
+    assert solve_combined(inst, tag) == sols["combined"]
+    assert len(reductions) == (1 if half else 2)
+
+
+@pytest.mark.parametrize("tag", list(SolverTag), ids=lambda tag: tag.value)
+def test_solve_each_runs_only_what_is_asked(monkeypatch, tag):
+    inst = inst_of(*TWO_CYCLES)
+    reductions = record_calls(monkeypatch, pipeline, "representatives")
+    exact = record_calls(monkeypatch, pipeline, "exact_superstring")
+    rows = pipeline.solve_each(inst, ("s2", "greedy", "s1"), tag)
+    assert reductions == []  # nothing runs before its row is asked for
+    assert next(rows)[0] == "s2" and len(reductions) == 1
+    assert [algo for algo, _, _ in rows] == ["greedy", "s1"]
+    assert len(reductions) == (1 if tag is SolverTag.CYCLE_COVER_HALF else 2)
+    assert exact == []
+    with pytest.raises(ValueError, match="unknown algorithm 'best'"):
+        list(pipeline.solve_each(inst, ("best",), tag))
+
+
 def test_compare_reduces_the_instance_once(tmp_path, monkeypatch, capsys):
     path = tmp_path / "inst.txt"
     path.write_text("\n".join(TWO_CYCLES) + "\n", encoding="utf-8")
