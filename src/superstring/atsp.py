@@ -121,10 +121,11 @@ def _subset_layout(n: int) -> _Layout:
     bit(f)])``, or the trash cell 0 where ``f`` is in the mask already:
     cell ``(0, 0)`` is the empty mask's, which no path has.  ``layer_ends``
     are where each popcount's run of positions ends.  Both arrays are int32
-    and ``push`` is built one row at a time, so no temporary holds more
-    than 2^n cells.  Building them takes more numpy calls than a small DP
-    itself, so they are kept in ``_LAYOUTS`` for each n up to
-    ``DEFAULT_EXACT_LIMIT``: read-only, 4 * (n + 1) * 2^n bytes.
+    and ``push`` is built one row at a time without a gather through
+    ``pos``, so no temporary holds more than 2^n cells.  Building them
+    takes more numpy calls than a small DP itself, so they are kept in
+    ``_LAYOUTS`` for each n up to ``DEFAULT_EXACT_LIMIT``: read-only,
+    4 * (n + 1) * 2^n bytes.
     """
     layout = _LAYOUTS.get(n)
     if layout is not None:
@@ -136,10 +137,14 @@ def _subset_layout(n: int) -> _Layout:
     masks = popcount.argsort(kind="stable").astype(np.int32)
     pos = np.empty(size, dtype=np.int32)
     pos[masks] = np.arange(size, dtype=np.int32)
-    push = np.empty((n, size), dtype=np.int32)
+    push = np.zeros((n, size), dtype=np.int32)
     for f, cells in enumerate(push):
-        np.add(pos[masks | (1 << f)], f * size, out=cells)
-        cells[masks & (1 << f) != 0] = 0
+        # adding bit f maps the masks without it, in layout order, one to
+        # one and in the same order onto the masks with it
+        has = masks & (1 << f) != 0
+        with_f = np.flatnonzero(has).astype(np.int32)
+        with_f += f * size
+        cells[~has] = with_f
     edge_cells = push[:, 1:n + 1].astype(np.intp)
     np.fill_diagonal(edge_cells, push[:, 0])
     arrays = (pos, push, edge_cells)

@@ -126,6 +126,22 @@ def test_exact_finds_a_planted_path_above_the_cached_layouts():
     assert n not in atsp._LAYOUTS
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_subset_layout_push_matches_the_gather_through_pos(n):
+    # the cell index, built row by row without looking masks up, against
+    # cell (f, pos[mask | bit(f)]) looked up mask by mask
+    size = 1 << n
+    masks = sorted(range(size), key=lambda mask: (mask.bit_count(), mask))
+    pos = {mask: p for p, mask in enumerate(masks)}
+    want = [[0 if mask >> f & 1 else f * size + pos[mask | 1 << f]
+             for mask in masks] for f in range(n)]
+    got_pos, push, _, layer_ends = atsp._subset_layout(n)
+    assert got_pos.tolist() == [pos[mask] for mask in range(size)]
+    assert push.dtype == np.int32 and push.tolist() == want
+    assert list(layer_ends) == [sum(1 for m in masks if m.bit_count() <= k)
+                                for k in range(n + 1)]
+
+
 @pytest.mark.parametrize("peak, dtype", [
     (0, np.int16), ((1 << 13) - 1, np.int16), (1 << 13, np.int32),
     ((1 << 29) - 1, np.int32), (1 << 29, np.int64), ((1 << 61) - 1, np.int64),

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -200,6 +202,32 @@ def test_failed_validation_exits_3_with_message(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert "internal error: output failed validation" in err.splitlines()
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tag", list(SolverTag), ids=lambda tag: tag.value)
+def test_compare_validates_each_distinct_text_once(tmp_path, capsys,
+                                                   monkeypatch, tag):
+    validate, seen = cli.validate_superstring, []
+
+    def counted(inst, text):
+        seen.append(text)
+        return validate(inst, text)
+
+    monkeypatch.setattr(cli, "validate_superstring", counted)
+    # two cover cycles, so s1 runs its path solver
+    path = write_instance(tmp_path, ["aab", "aba", "baa", "ccd", "cdc", "dcc"])
+    out = tmp_path / "c.json"
+    assert cli.main(["compare", path, "--path-solver", tag.value,
+                     "--json", str(out)]) == 0
+    capsys.readouterr()
+    rows = load_json(out)["results"]
+    assert len(rows) == len(pipeline.ALGORITHMS)
+    # every row's text was validated, and no text twice
+    inst, _ = cli.normalize(cli.read_instance_file(path))
+    texts = {sol.text for _, sol, _ in pipeline.solve_each(
+        inst, pipeline.ALGORITHMS, tag)}
+    assert sorted(seen) == sorted(texts)
+    assert len(texts) < len(rows)  # combined repeats the s1 or s2 text
 
 
 @pytest.mark.parametrize("command", ["solve", "compare"])
@@ -515,6 +543,72 @@ def test_json_check_leaves_no_file_behind_a_refused_run(tmp_path, capsys):
     assert not fresh.exists()
     assert kept.read_text(encoding="utf-8") == "old report\n"
     capsys.readouterr()
+
+
+# ---------------------------------------------------------- in-place writes
+
+STALE = b"x" * 50_000  # longer than any report or instance written below
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{inst}"],
+    ["compare", "{inst}"],
+    ["verify", "--suite", "tight"],
+], ids=lambda argv: argv[0])
+def test_json_over_a_longer_file_holds_only_the_new_report(tmp_path, capsys,
+                                                           argv):
+    inst = write_instance(tmp_path, ["abab", "babb", "bba", "aab"])
+    out = tmp_path / "r.json"
+    out.write_bytes(STALE)
+    assert cli.main([a.format(inst=inst) for a in argv]
+                    + ["--json", str(out)]) == 0
+    capsys.readouterr()
+    text = out.read_bytes().decode("utf-8")
+    report = json.loads(text)  # no stale tail after the report
+    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert report["command"] == " ".join(a.format(inst=inst) for a in argv) \
+        + f" --json {out}"
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_json_to_dev_null_exits_0(tmp_path, capsys, command):
+    inst = write_instance(tmp_path, ["abab", "babb", "bba", "aab"])
+    assert cli.main([command, inst, "--json", "/dev/null"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("family", ["tight3", "greedy", "random"])
+def test_gen_over_longer_files_writes_exactly_the_new_bytes(tmp_path, capsys,
+                                                            family):
+    fresh, kept = tmp_path / "fresh.txt", tmp_path / "kept.txt"
+    sidecar = Path(f"{kept}.expected.json")
+    kept.write_bytes(STALE)
+    sidecar.write_bytes(STALE)
+    for out in (fresh, kept):
+        assert cli.main(["gen", "--family", family, str(out)]) == 0
+    capsys.readouterr()
+    assert kept.read_bytes() == fresh.read_bytes()
+    fresh_sidecar = Path(f"{fresh}.expected.json")
+    if family == "random":  # no sidecar is written, the stale one stays
+        assert not fresh_sidecar.exists() and sidecar.read_bytes() == STALE
+    else:
+        assert sidecar.read_bytes() == fresh_sidecar.read_bytes()
+
+
+@pytest.mark.parametrize("umask", [0o000, 0o002, 0o022, 0o077], ids=oct)
+def test_new_report_gets_the_mode_open_w_gives(tmp_path, capsys, umask):
+    inst = write_instance(tmp_path, ["abab", "babb", "bba", "aab"])
+    reference, report = tmp_path / "ref.json", tmp_path / "r.json"
+    old = os.umask(umask)
+    try:
+        with open(reference, "w", encoding="utf-8"):
+            pass
+        assert cli.main(["solve", inst, "--json", str(report)]) == 0
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    assert stat.S_IMODE(report.stat().st_mode) \
+        == stat.S_IMODE(reference.stat().st_mode) == 0o666 & ~umask
 
 
 # ------------------------------------------------------------- determinism
