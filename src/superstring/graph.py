@@ -44,22 +44,35 @@ costs one sort, at most sum |s_i| window tests at Python level (H finds
 per long row instead), one lookup per suffix shorter than 8 or starting
 with a head, and the cells of the runs, instead of N^2 per-pair scans.
 
-Cycle covers are computed exactly with scipy's assignment solver.  The
-minimum cover of the prefix matrix may use self-loop edges (fixed points of
-the permutation); the maximum cover masks the diagonal, because it feeds
-path constructions and a path can never use a loop edge (see
+Cycle covers are computed exactly with scipy's assignment solver,
+``linear_sum_assignment`` (Crouse, IEEE TAES 2016).  It is the only scipy
+routine used, and it lives alone in the compiled extension
+``scipy/optimize/_lsap``, so that file is loaded directly: the public
+``from scipy.optimize import linear_sum_assignment`` would run all of
+``scipy.optimize`` (about 0.6 s and 50 MB at startup) for this one
+function.  The public import is the fallback when the file cannot be
+found or loaded, and is used outright when ``scipy.optimize`` is already
+imported; either way the same C function runs, and ``scipy>=1.10`` stays
+a dependency.
+
+The minimum cover of the prefix matrix may use self-loop edges (fixed
+points of the permutation); the maximum cover masks the diagonal, because
+it feeds path constructions and a path can never use a loop edge (see
 atsp.cycle_cover_path).
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 _LOOP_BAN = 1 << 40  # dwarfs any realistic total weight
 _TOP_CHAR = chr(0x10FFFF)
@@ -269,6 +282,41 @@ class CycleCover:
                 node = self.perm[node]
             cycles.append(tuple(cyc))
         return tuple(cycles)
+
+
+def _lsap_from_file():
+    """``linear_sum_assignment`` from scipy's ``optimize/_lsap`` extension,
+    found without importing scipy and loaded under no name in
+    ``sys.modules``; None if there is no such extension or it does not
+    load (a scipy release that moves the routine)."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        return None
+    spec = importlib.machinery.PathFinder.find_spec(
+        "_lsap", [os.path.join(scipy.submodule_search_locations[0], "optimize")])
+    if spec is None or not isinstance(spec.loader, importlib.machinery.ExtensionFileLoader):
+        return None
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except ImportError:
+        return None
+    return getattr(module, "linear_sum_assignment", None)
+
+
+def _assignment_solver():
+    """scipy's ``linear_sum_assignment``: the public one if ``scipy.optimize``
+    is already imported (its extension is then initialised once), else
+    the one loaded from file, else the public import."""
+    if "scipy.optimize" not in sys.modules:
+        solver = _lsap_from_file()
+        if solver is not None:
+            return solver
+    from scipy.optimize import linear_sum_assignment
+    return linear_sum_assignment
+
+
+linear_sum_assignment = _assignment_solver()
 
 
 def _assignment_cover(m: WeightMatrix, w: np.ndarray, maximize: bool) -> CycleCover:

@@ -1,6 +1,9 @@
+import concurrent.futures
 import json
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -159,6 +162,30 @@ def test_solve_exact_table_ceiling_exit_2_without_hint(tmp_path, monkeypatch, ca
                      "--exact-limit", "30"]) == 2
     assert capsys.readouterr().err == (
         "error: exact solver table for n=23 would exceed 1 GiB\n")
+
+
+def test_solve_imports_neither_scipy_optimize_nor_a_process_pool(tmp_path):
+    """A fresh ``superstring solve`` loads scipy's assignment solver from
+    its file, so all of ``scipy.optimize`` (linprog, linalg, ...) stays out;
+    a solver that needs more of scipy imports it inside the function that
+    uses it.  The process pool is imported only by a parallel ``verify``."""
+    path = write_instance(tmp_path, ["abab", "babb", "bba"])
+    code = f"""
+import sys
+from superstring import cli
+
+assert cli.main(["solve", {path!r}]) == 0
+leaked = [m for m in ("scipy.optimize", "concurrent.futures.process")
+          if m in sys.modules]
+sys.exit(f"imported: {{leaked}}" if leaked else 0)
+"""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert "length: " in run.stdout
 
 
 # ------------------------------------------------------------------- compare
@@ -360,8 +387,9 @@ def test_verify_starts_no_more_processes_than_chunks(
         trials, workers, pools, monkeypatch, capsys):
     sizes = []
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor",
-                        lambda max_workers: RecordingPool(max_workers, sizes))
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor",
+        lambda max_workers: RecordingPool(max_workers, sizes))
     base = ["verify", "--suite", "pairs", "--trials", str(trials), "--seed", "2"]
     assert cli.main(base + ["--workers", str(workers)]) == 0
     parallel = capsys.readouterr()
@@ -376,8 +404,9 @@ def test_verify_starts_no_more_processes_than_cpus(cpus, pools, monkeypatch, cap
     # a fake pool: a large --workers value must never reach a real one
     sizes = []
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor",
-                        lambda max_workers: RecordingPool(max_workers, sizes))
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor",
+        lambda max_workers: RecordingPool(max_workers, sizes))
     base = ["verify", "--suite", "pairs", "--trials", "8", "--seed", "2"]
     assert cli.main(base + ["--workers", "1000"]) == 0
     parallel = capsys.readouterr()
@@ -388,7 +417,7 @@ def test_verify_starts_no_more_processes_than_cpus(cpus, pools, monkeypatch, cap
 
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_verify_rejects_workers_below_one(workers, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", None)  # never reached
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # never reached
     assert cli.main(["verify", "--trials", "4", "--workers", workers]) == 1
     cap = capsys.readouterr()
     assert cap.out == ""
@@ -396,7 +425,7 @@ def test_verify_rejects_workers_below_one(workers, monkeypatch, capsys):
 
 
 def test_verify_rejects_negative_trials(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", None)  # never reached
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # never reached
     assert cli.main(["verify", "--trials", "-3", "--workers", "2"]) == 1
     cap = capsys.readouterr()
     assert cap.out == ""

@@ -1,9 +1,16 @@
+import importlib.machinery
+import importlib.util
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment as public_lsap
 
 import brute
 from superstring import graph
@@ -346,6 +353,135 @@ def test_cover_determinism():
     rows = [[rng.randint(0, 4) for _ in range(6)] for _ in range(6)]
     covers = {min_cycle_cover(matrix(rows)) for _ in range(5)}
     assert len(covers) == 1
+
+
+# ------------------------------------------------ the file-loaded solver
+
+# the routine graph loads from scipy's extension file, loaded here again:
+# which routine this process's graph picked depends on the import order
+file_lsap = graph._lsap_from_file()
+
+
+def drawn_prefix_and_overlap(seed, count):
+    """``count`` (prefix, overlap) matrix pairs of random normalized instances."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        raw = ["".join(rng.choice("ab") for _ in range(rng.randint(1, 9)))
+               for _ in range(rng.randint(2, 9))]
+        try:
+            inst, _ = normalize(raw)
+        except DegenerateInstanceError:
+            continue
+        ov, pref = matrices(inst.strings)
+        pairs.append((pref.w, ov.w))
+    return pairs
+
+
+def assert_same_assignment(w, maximize):
+    got, want = file_lsap(w, maximize=maximize), public_lsap(w, maximize=maximize)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+def run_fresh(code):
+    """stdout of ``code`` run in a fresh interpreter that imports this
+    superstring: the routine graph picks depends on what is imported first."""
+    src = str(Path(graph.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def test_file_loaded_solver_is_found_here():
+    assert file_lsap is not None
+
+
+def test_public_routine_is_used_once_scipy_optimize_is_imported():
+    # the extension is then not initialised a second time
+    run_fresh("import scipy.optimize\n"
+              "from superstring import graph\n"
+              "assert graph.linear_sum_assignment is "
+              "scipy.optimize.linear_sum_assignment\n")
+
+
+def test_file_loaded_solver_matches_public_on_both_covers():
+    # the minimum cover with loops and the maximum cover with the loop ban,
+    # exactly as min_cycle_cover and max_cycle_cover call the solver
+    for pref, ov in drawn_prefix_and_overlap(5, 200):
+        assert_same_assignment(pref, maximize=False)
+        banned = ov.copy()
+        np.fill_diagonal(banned, -graph._LOOP_BAN)
+        assert_same_assignment(banned, maximize=True)
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int64])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("fill", [0, 7, -3])
+def test_file_loaded_solver_matches_public_on_ties(n, fill, dtype):
+    for maximize in (False, True):
+        assert_same_assignment(np.full((n, n), fill, dtype=dtype), maximize)
+
+
+@given(st.integers(1, 9).flatmap(lambda n: st.lists(
+           st.integers(-300, 300), min_size=n * n, max_size=n * n)),
+       st.sampled_from([np.int16, np.int64]), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_file_loaded_solver_matches_public_on_draws(cells, dtype, maximize):
+    n = int(len(cells) ** 0.5)
+    assert_same_assignment(np.array(cells, dtype=dtype).reshape(n, n), maximize)
+
+
+@pytest.mark.parametrize("layout", ["no scipy", "no _lsap", "source _lsap",
+                                    "broken extension"])
+def test_file_lookup_gives_none_when_the_extension_is_not_there(
+        layout, tmp_path, monkeypatch):
+    optimize = tmp_path / "optimize"
+    optimize.mkdir()
+    if layout == "source _lsap":
+        # a release that turns _lsap into Python must not have it run here
+        (optimize / "_lsap.py").write_text("raise AssertionError\n")
+    elif layout == "broken extension":
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        (optimize / f"_lsap{suffix}").write_bytes(b"not a shared object")
+    scipy = None
+    if layout != "no scipy":
+        scipy = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        scipy.submodule_search_locations = [str(tmp_path)]
+    real = importlib.util.find_spec
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name, *a: scipy if name == "scipy" else real(name, *a))
+    assert graph._lsap_from_file() is None
+
+
+def test_failed_file_lookup_falls_back_to_the_public_routine(monkeypatch):
+    """With the extension file not found, a fresh process imports
+    ``scipy.optimize`` and gives the covers the file-loaded routine gives."""
+    pairs = drawn_prefix_and_overlap(9, 40)
+    monkeypatch.setattr(graph, "linear_sum_assignment", file_lsap)
+    want = [[min_cycle_cover(WeightMatrix(pref)).perm,
+             max_cycle_cover(WeightMatrix(ov)).perm] for pref, ov in pairs]
+    code = f"""
+import importlib.machinery
+import sys
+
+real = importlib.machinery.PathFinder.find_spec
+importlib.machinery.PathFinder.find_spec = (
+    lambda name, *a: None if name == "_lsap" else real(name, *a))
+import numpy as np
+from superstring import graph
+
+assert "scipy.optimize" in sys.modules
+assert graph.linear_sum_assignment is sys.modules["scipy.optimize"].linear_sum_assignment
+pairs = [(np.array(p), np.array(o)) for p, o in {[(p.tolist(), o.tolist()) for p, o in pairs]!r}]
+print([[list(graph.min_cycle_cover(graph.WeightMatrix(p)).perm),
+        list(graph.max_cycle_cover(graph.WeightMatrix(o)).perm)] for p, o in pairs])
+"""
+    assert run_fresh(code) == f"{[[list(a), list(b)] for a, b in want]}\n"
 
 
 # ------------------------------------------------- covers of the tight families
