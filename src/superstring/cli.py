@@ -16,8 +16,8 @@ by that string, with a warning.  Exit codes: 0 success, 1 unreadable or
 empty input, an output file that cannot be written (a ``--json`` file is
 tried before any work starts), ``gen`` numbers that the family's generator
 refuses, a negative ``verify --trials`` or a ``verify --workers`` below 1,
-2 exact-solver node limit or table ceiling exceeded, 3 internal validation
-or assertion failure.
+2 exact-solver node limit or table ceiling exceeded, 3 an internal
+assertion failure, such as a pipeline output that lost an input string.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from datetime import datetime, timezone
 from . import bounds
 from .atsp import DEFAULT_EXACT_LIMIT, SolverLimitError, SolverTag, TableSizeError
 from .graph import DegenerateInstanceError, normalize
-from .pipeline import ALGORITHMS, Solution, solve_each, validate_superstring
+from .pipeline import ALGORITHMS, Solution, solve_each
 
 _NOT_PRINTABLE = re.compile(r"[^!-~]")  # anything but printable non-space ASCII
 
@@ -133,11 +133,11 @@ def _print_table(results: list[dict]) -> None:
 def cmd_run(args, argv) -> int:
     """``solve`` runs ``--algo`` and prints its text; ``compare`` runs every
     algorithm, ``exact`` only up to ``--exact-limit`` nodes, and prints a
-    table.  ``pipeline.solve_each`` runs them and holds the run rules.  Each
-    text is validated (exit 3 on failure) before the report is written, so
-    ``run == held == len(results)`` in every report; a text met again in
-    one call (``combined`` is s1's or s2's, s1 under ``half`` is s2's) is
-    validated once.  A one-string input is solved by that string, untimed."""
+    table.  ``pipeline.solve_each`` runs them and holds the run rules; the
+    pipeline checks every text it makes before returning it (an
+    AssertionError, exit 3, on a lost string), so a report is written only
+    once every row has held, and ``run == held == len(results)`` in it.  A
+    one-string input is solved by that string, untimed."""
     report, single = _report_skeleton(argv), None
     try:
         inst, removed = normalize(read_instance_file(args.input))
@@ -158,13 +158,7 @@ def cmd_run(args, argv) -> int:
         rows = solve_each(inst, algos, SolverTag(args.path_solver), args.exact_limit)
     else:
         rows = ((algo, Solution((0,), single, 0, algo), 0.0) for algo in algos)
-    validated = set()
     for algo, sol, ms in rows:
-        if single is None and sol.text not in validated:
-            if not validate_superstring(inst, sol.text):
-                print("internal error: output failed validation", file=sys.stderr)
-                return 3
-            validated.add(sol.text)
         report["results"].append(_result_entry(algo, sol, ms))
     checks = report["verification"]
     checks["run"] = checks["held"] = len(report["results"])

@@ -14,7 +14,9 @@ The main route reduces the instance to a small set of *representatives*:
 ``solve_s2`` with the cycle-cover/drop-lightest-edge solver;
 ``greedy_superstring`` and ``exact_superstring`` are the classic baselines.
 All of them read the instance's overlap matrix and cover (``Instance.overlap``,
-``Instance.cover``), which each instance computes once.  ``solve_each`` runs
+``Instance.cover``), which each instance computes once, and all of them
+return through ``_solution``, which checks that the text contains every
+instance string and raises AssertionError if not.  ``solve_each`` runs
 the ``ALGORITHMS`` by name and holds the run rules (s1 under ``half`` is s2's
 run; ``combined`` is ``better_of`` s1 and s2); ``solve_combined`` and the
 ``solve``/``compare`` commands go through it.
@@ -77,7 +79,16 @@ def _merge_texts(texts: Sequence[str], overlaps: Sequence[int]) -> str:
     return "".join(out)
 
 
-def _solution(inst: Instance, order, text, algorithm) -> Solution:
+def _solution(inst: Instance, text: str, algorithm: str, order=None) -> Solution:
+    """The solver's ``text`` as a Solution, the one place every output is
+    checked: each instance string is found in ``text`` once, and a miss
+    raises AssertionError.  ``order`` defaults to the order in which the
+    strings first appear in ``text``."""
+    pos = [text.find(s) for s in inst.strings]
+    if min(pos) < 0:
+        raise AssertionError("pipeline output lost an input string")
+    if order is None:
+        order = sorted(range(len(pos)), key=pos.__getitem__)
     return Solution(order=tuple(order), text=text,
                     total_overlap=inst.total_length - len(text),
                     algorithm=algorithm)
@@ -123,13 +134,6 @@ def representatives(inst: Instance) -> list[Representative]:
     return [representative(inst, cyc) for cyc in inst.cover.cycles]
 
 
-def _appearance_order(inst: Instance, text: str) -> tuple[int, ...]:
-    pos = [(text.find(s), i) for i, s in enumerate(inst.strings)]
-    if any(p < 0 for p, _ in pos):
-        raise AssertionError("pipeline output lost an input string")
-    return tuple(i for _, i in sorted(pos))
-
-
 def solve_s1(inst: Instance, path_solver: SolverTag = SolverTag.EXACT,
              limit: int = DEFAULT_EXACT_LIMIT) -> Solution:
     """Cycle-cover reduction followed by a max-path solve over representatives;
@@ -141,8 +145,7 @@ def solve_s1(inst: Instance, path_solver: SolverTag = SolverTag.EXACT,
         m = overlap_matrix([r.text for r in reps])
         order = max_path(m, path_solver, limit).order
         text = _merge_texts([reps[i].text for i in order], path_overlaps(m, order))
-    return _solution(inst, _appearance_order(inst, text), text,
-                     f"s1[{path_solver.value}]")
+    return _solution(inst, text, f"s1[{path_solver.value}]")
 
 
 def solve_s2(inst: Instance) -> Solution:
@@ -191,7 +194,7 @@ def greedy_superstring(inst: Instance) -> Solution:
     (order,) = chains.values()
     text = _merge_texts([inst.strings[i] for i in order],
                         path_overlaps(inst.overlap, order))
-    return _solution(inst, _appearance_order(inst, text), text, "greedy")
+    return _solution(inst, text, "greedy")
 
 
 def exact_superstring(inst: Instance, limit: int = DEFAULT_EXACT_LIMIT) -> Solution:
@@ -199,7 +202,7 @@ def exact_superstring(inst: Instance, limit: int = DEFAULT_EXACT_LIMIT) -> Solut
     m = inst.overlap
     order = max_path(m, limit=limit).order
     text = _merge_texts([inst.strings[i] for i in order], path_overlaps(m, order))
-    return _solution(inst, order, text, "exact")
+    return _solution(inst, text, "exact", order)
 
 
 ALGORITHMS = ("combined", "s1", "s2", "greedy", "exact")

@@ -219,54 +219,40 @@ def test_compare_single_string_exits_0_like_solve(tmp_path, capsys):
             for r in report["results"]] == [(a, 3, 0, [0]) for a in algos]
 
 
-@pytest.mark.parametrize("command", ["solve", "compare"])
-def test_failed_validation_exits_3_with_message(tmp_path, capsys, monkeypatch,
-                                                 command):
-    monkeypatch.setattr(cli, "validate_superstring", lambda inst, text: False)
-    path = write_instance(tmp_path, ["abc", "bcd", "cde"])
-    out = tmp_path / "r.json"
-    assert cli.main([command, path, "--json", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert "internal error: output failed validation" in err.splitlines()
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("tag", list(SolverTag), ids=lambda tag: tag.value)
-def test_compare_validates_each_distinct_text_once(tmp_path, capsys,
-                                                   monkeypatch, tag):
-    validate, seen = cli.validate_superstring, []
+def test_compare_checks_each_solver_text_once(tmp_path, capsys, monkeypatch, tag):
+    solution, seen = pipeline._solution, []
 
-    def counted(inst, text):
+    def counted(inst, text, *args):
         seen.append(text)
-        return validate(inst, text)
+        return solution(inst, text, *args)
 
-    monkeypatch.setattr(cli, "validate_superstring", counted)
+    monkeypatch.setattr(pipeline, "_solution", counted)
     # two cover cycles, so s1 runs its path solver
     path = write_instance(tmp_path, ["aab", "aba", "baa", "ccd", "cdc", "dcc"])
     out = tmp_path / "c.json"
     assert cli.main(["compare", path, "--path-solver", tag.value,
                      "--json", str(out)]) == 0
     capsys.readouterr()
-    rows = load_json(out)["results"]
-    assert len(rows) == len(pipeline.ALGORITHMS)
-    # every row's text was validated, and no text twice
-    inst, _ = cli.normalize(cli.read_instance_file(path))
-    texts = {sol.text for _, sol, _ in pipeline.solve_each(
-        inst, pipeline.ALGORITHMS, tag)}
-    assert sorted(seen) == sorted(texts)
-    assert len(texts) < len(rows)  # combined repeats the s1 or s2 text
+    assert len(load_json(out)["results"]) == len(pipeline.ALGORITHMS)
+    # s1, s2, greedy and exact each check their own text once; combined is
+    # the s1 or s2 run, and under half so is s1
+    assert len(seen) == (3 if tag is SolverTag.CYCLE_COVER_HALF else 4)
 
 
-@pytest.mark.parametrize("command", ["solve", "compare"])
+@pytest.mark.parametrize("command", [
+    ["solve"], ["compare"],  # solve runs combined by default
+    *(["solve", "--algo", algo] for algo in ("s1", "s2", "greedy", "exact"))],
+    ids=lambda command: command[-1])
 def test_internal_assertion_exits_3_with_one_line(tmp_path, capsys, monkeypatch,
                                                   command):
     merge = pipeline._merge_texts
     monkeypatch.setattr(pipeline, "_merge_texts",
                         lambda texts, overlaps: merge(texts, overlaps)[1:])
-    # two cover cycles, so s1 merges two representatives
+    # two cover cycles, so s1 and s2 merge two representatives
     path = write_instance(tmp_path, ["aab", "aba", "baa", "ccd", "cdc", "dcc"])
     out = tmp_path / "r.json"
-    assert cli.main([command, path, "--json", str(out)]) == 3
+    assert cli.main([*command, path, "--json", str(out)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: pipeline output lost an input string\n"

@@ -14,7 +14,6 @@ from superstring import atsp, cli, graph, pipeline, words
 from superstring.atsp import DEFAULT_EXACT_LIMIT, SolverLimitError, SolverTag, exact_max_path
 from superstring.graph import DegenerateInstanceError, Instance, normalize, path_overlaps
 from superstring.pipeline import (
-    _appearance_order,
     _merge_texts,
     cycle_string,
     exact_superstring,
@@ -240,7 +239,8 @@ def greedy_instances(draw):
 def test_greedy_matches_reference_merging_property(inst):
     sol = greedy_superstring(inst)
     assert sol.text == brute.greedy_text(inst.strings)
-    assert sol.order == _appearance_order(inst, sol.text)
+    assert sol.order == tuple(sorted(range(len(inst)),
+                                     key=lambda i: sol.text.find(inst.strings[i])))
 
 
 def test_greedy_does_no_string_overlap_work(monkeypatch):
@@ -447,6 +447,18 @@ def test_validate_superstring():
     inst = inst_of("ab", "ba")
     assert validate_superstring(inst, "aba")
     assert not validate_superstring(inst, "ab")
+
+
+@pytest.mark.parametrize("solver", [solve_s1, solve_s2, solve_combined,
+                                    greedy_superstring, exact_superstring])
+def test_solvers_raise_on_a_lost_string(monkeypatch, solver):
+    merge = pipeline._merge_texts
+    monkeypatch.setattr(pipeline, "_merge_texts",
+                        lambda texts, overlaps: merge(texts, overlaps)[1:])
+    # two cover cycles, so s1 and s2 merge two representatives
+    inst = inst_of("aab", "aba", "baa", "ccd", "cdc", "dcc")
+    with pytest.raises(AssertionError, match="^pipeline output lost an input string$"):
+        solver(inst)
 
 
 def test_all_solvers_validate_and_relate():
