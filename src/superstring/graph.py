@@ -51,9 +51,8 @@ routine used, and it lives alone in the compiled extension
 ``from scipy.optimize import linear_sum_assignment`` would run all of
 ``scipy.optimize`` (about 0.6 s and 50 MB at startup) for this one
 function.  The public import is the fallback when the file cannot be
-found or loaded, and is used outright when ``scipy.optimize`` is already
-imported; either way the same C function runs, and ``scipy>=1.10`` stays
-a dependency.
+found or loaded; either way the same C function runs, and ``scipy>=1.10``
+stays a dependency.
 
 The minimum cover of the prefix matrix may use self-loop edges (fixed
 points of the permutation); the maximum cover masks the diagonal, because
@@ -66,7 +65,6 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import os
-import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -305,13 +303,11 @@ def _lsap_from_file():
 
 
 def _assignment_solver():
-    """scipy's ``linear_sum_assignment``: the public one if ``scipy.optimize``
-    is already imported (its extension is then initialised once), else
-    the one loaded from file, else the public import."""
-    if "scipy.optimize" not in sys.modules:
-        solver = _lsap_from_file()
-        if solver is not None:
-            return solver
+    """scipy's ``linear_sum_assignment``: the one loaded from file, else the
+    public import."""
+    solver = _lsap_from_file()
+    if solver is not None:
+        return solver
     from scipy.optimize import linear_sum_assignment
     return linear_sum_assignment
 

@@ -357,8 +357,7 @@ def test_cover_determinism():
 
 # ------------------------------------------------ the file-loaded solver
 
-# the routine graph loads from scipy's extension file, loaded here again:
-# which routine this process's graph picked depends on the import order
+# the routine graph loads from scipy's extension file, loaded here again
 file_lsap = graph._lsap_from_file()
 
 
@@ -387,7 +386,7 @@ def assert_same_assignment(w, maximize):
 
 def run_fresh(code):
     """stdout of ``code`` run in a fresh interpreter that imports this
-    superstring: the routine graph picks depends on what is imported first."""
+    superstring: graph picks its routine once, when it is first imported."""
     src = str(Path(graph.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -399,14 +398,6 @@ def run_fresh(code):
 
 def test_file_loaded_solver_is_found_here():
     assert file_lsap is not None
-
-
-def test_public_routine_is_used_once_scipy_optimize_is_imported():
-    # the extension is then not initialised a second time
-    run_fresh("import scipy.optimize\n"
-              "from superstring import graph\n"
-              "assert graph.linear_sum_assignment is "
-              "scipy.optimize.linear_sum_assignment\n")
 
 
 def test_file_loaded_solver_matches_public_on_both_covers():
