@@ -1,9 +1,10 @@
 r"""Command-line front end: solve, compare, verify, gen.
 
-Instance files are UTF-8 text with one string per line; lines end at
-``\n`` (``\r\n`` and ``\r`` count as ``\n``) and nowhere else, ``#`` starts a
-comment line, blank lines are ignored, and strings must consist of printable
-non-whitespace ASCII.  JSON reports have the flat shape
+Instance files are UTF-8 text, a leading byte-order mark skipped, with one
+string per line; lines end at ``\n`` (``\r\n`` and ``\r`` count as ``\n``)
+and nowhere else, ``#`` starts a comment line, blank lines are ignored, and
+strings must consist of printable non-whitespace ASCII.  JSON reports have
+the flat shape
 
     {command, seed, timestamp, instance: {n, total_length},
      results: [{algo, length, overlap, order, ms}],
@@ -47,7 +48,7 @@ class InputError(Exception):
 
 def read_instance_file(path: str) -> list[str]:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             raw = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc

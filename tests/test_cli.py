@@ -136,6 +136,25 @@ def test_crlf_and_cr_lines_still_solve(tmp_path, capsys, newline):
     assert capsys.readouterr().out.splitlines()[0] == "aba"
 
 
+def test_leading_byte_order_mark_is_skipped(tmp_path, capsys, monkeypatch):
+    runs = []
+    for name, bom in [("plain", b""), ("bom", b"\xef\xbb\xbf")]:
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        Path("inst.txt").write_bytes(bom + b"abc\nbcd\n")
+        assert cli.main(["solve", "inst.txt", "--json", "r.json"]) == 0
+        runs.append((capsys.readouterr(), scrub(load_json("r.json"))))
+    assert runs[0] == runs[1]
+
+
+def test_byte_order_mark_after_the_start_is_rejected(tmp_path, capsys):
+    path = tmp_path / "inst.txt"
+    path.write_bytes(b"abc\n\xef\xbb\xbfbcd\n")
+    assert cli.main(["solve", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}:2: strings must be printable non-whitespace ASCII\n")
+
+
 def test_solve_empty_input_exits_1(tmp_path, capsys):
     path = write_instance(tmp_path, ["# nothing here"])
     assert cli.main(["solve", path]) == 1
