@@ -134,10 +134,9 @@ def _print_table(results: list[dict]) -> None:
 def cmd_run(args, argv) -> int:
     """``solve`` runs ``--algo`` and prints its text; ``compare`` runs every
     algorithm, ``exact`` only up to ``--exact-limit`` nodes, and prints a
-    table.  ``pipeline.solve_each`` runs them and holds the run rules; the
-    pipeline checks every text it makes before returning it (an
-    AssertionError, exit 3, on a lost string), so a report is written only
-    once every row has held, and ``run == held == len(results)`` in it.  A
+    table.  ``pipeline.solve_each`` runs them, holds the run rules and
+    checks each text (a lost string is an AssertionError: exit 3, no
+    report), so ``run == held == len(results)`` in every report.  A
     one-string input is solved by that string, untimed."""
     report, single = _report_skeleton(argv), None
     try:

@@ -14,12 +14,11 @@ The main route reduces the instance to a small set of *representatives*:
 ``solve_s2`` with the cycle-cover/drop-lightest-edge solver;
 ``greedy_superstring`` and ``exact_superstring`` are the classic baselines.
 All of them read the instance's overlap matrix and cover (``Instance.overlap``,
-``Instance.cover``), which each instance computes once, and all of them
-return through ``_solution``, which checks that the text contains every
-instance string and raises AssertionError if not.  ``solve_each`` runs
-the ``ALGORITHMS`` by name and holds the run rules (s1 under ``half`` is s2's
-run; ``combined`` is ``better_of`` s1 and s2); ``solve_combined`` and the
-``solve``/``compare`` commands go through it.
+``Instance.cover``), which each instance computes once, and return through
+``_solution``, which checks the text against every instance string.
+``solve_each`` runs the ``ALGORITHMS`` by name and holds the run rules (s1
+under ``half`` is s2's run; ``combined`` is ``better_of`` s1 and s2);
+``solve_combined`` and the ``solve``/``compare`` commands go through it.
 """
 
 from __future__ import annotations
@@ -80,10 +79,9 @@ def _merge_texts(texts: Sequence[str], overlaps: Sequence[int]) -> str:
 
 
 def _solution(inst: Instance, text: str, algorithm: str, order=None) -> Solution:
-    """The solver's ``text`` as a Solution, the one place every output is
-    checked: each instance string is found in ``text`` once, and a miss
-    raises AssertionError.  ``order`` defaults to the order in which the
-    strings first appear in ``text``."""
+    """``text`` as a Solution: each instance string is found in it once, a
+    miss raises AssertionError, and ``order`` defaults to the strings' order
+    of first appearance."""
     pos = [text.find(s) for s in inst.strings]
     if min(pos) < 0:
         raise AssertionError("pipeline output lost an input string")
