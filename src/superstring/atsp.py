@@ -192,18 +192,24 @@ def exact_max_path(m: WeightMatrix, limit: int = DEFAULT_EXACT_LIMIT) -> PathSol
     pos, push, edge_cells, layer_ends = _subset_layout(n)
     w = m.w.astype(dtype)
     best = np.full((n, size), unset, dtype=dtype)
+    cells = best.reshape(-1)  # a flat view, written through the layout's cells
     # Paths of two nodes are single edges and paths of one node weigh 0.
-    best.put(edge_cells, w)
-    best.put(edge_cells.diagonal(), 0)
+    cells[edge_cells] = w
+    cells[edge_cells.diagonal()] = 0
     w_by_first = w.T[:, :, None]
     step = _BLOCK_CELLS // (n * n)
+    # every block's candidates, at most _BLOCK_CELLS and no more than the
+    # widest layer needs
+    buffer = np.empty(n * n * min(step, comb(n, n // 2)), dtype=dtype)
     # push each layer of 2 to n - 1 nodes to the next
     for lo_layer, hi_layer in zip(layer_ends[1:-2], layer_ends[2:-1]):
         for lo in range(lo_layer, hi_layer, step):
             hi = min(lo + step, hi_layer)
             # cand[j, first, b] = best[j, lo + b] + w[first, j]
-            cand = best[:, None, lo:hi] + w_by_first
-            best.put(push[:, lo:hi], cand.max(axis=0))
+            cand = buffer[:n * n * (hi - lo)].reshape(n, n, hi - lo)
+            np.add(best[:, None, lo:hi], w_by_first, out=cand)
+            # cells repeat only at the trash cell, which is never read
+            cells[push[:, lo:hi]] = cand.max(axis=0)
     mask = size - 1  # the full mask, at the last position
     cur = int(best[:, mask].argmax())  # argmax returns the first maximum
     total = int(best[cur, mask])

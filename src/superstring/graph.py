@@ -13,6 +13,29 @@ JACM 1994).  ``Instance.overlap`` and ``Instance.cover`` compute each once
 per instance object, on first use, and every consumer reads them there.
 Each input is checked substring-free once, by ``normalize`` or ``Instance``.
 
+The substring questions go through one *head index* (a q-gram filter,
+Ukkonen, TCS 1992).  A string's head is its first ``_HEAD`` (8) letters.
+``_head_hits`` lists every window of 8 letters in a list of texts whose key
+equals the key of some string's head, in ascending (text, start) order.  A
+window of ASCII text is keyed exactly, by its 8 bytes read as one integer;
+other text gets a 64-bit hash of its code points, so unequal windows may
+share a key, and every consumer confirms each hit with ``startswith`` or a
+lookup of its own.  String ``i`` of 8 letters or more occurs in a text
+only where the text holds ``i``'s head, so:
+
+- ``_first_containers``, the substring-free rule, tests string ``i``
+  against string ``j`` only at the starts of ``i``'s head in ``j``;
+- ``first_occurrences`` finds a string in a text at the first start of
+  its head where the string follows (the pipeline's final check and its
+  representatives' windows);
+- ``overlap_matrix`` looks up a suffix of 8 letters or more only where it
+  starts with a head.
+
+Strings shorter than 8 letters are always scanned directly, and an input
+of fewer than ``_INDEX_LETTERS`` letters skips the index: each consumer
+tests the size first and then runs a direct scan, which is cheaper than
+building the index at those sizes.
+
 The overlap matrix comes from one sorted prefix index instead of per-pair
 scans, in the spirit of Gusfield, Landau & Schieber's all-pairs
 suffix-prefix algorithm (IPL 1992).  In the sorted list, the strings that
@@ -22,27 +45,9 @@ is looked up at most once and its length written onto its whole run with
 one slice fill.  A lookup costs a slice and two bisections, O(k log N)
 character comparisons in C for a suffix of length k; the fills cost the
 cells of the runs, written by numpy (at most N per suffix; on random text
-the runs shrink geometrically with k).
-
-Most suffixes start no string, so a suffix of ``_HEAD`` (8) letters or
-more is looked up only if its first 8 letters are the first 8 of some
-string, its *head*; the heads are kept in one set per call.  Each row
-finds those suffixes in the cheaper of two ways, chosen from the number H
-of distinct heads and the row's length m:
-
-- many heads or a short row (the instance matrices of many reads, and
-  every row of 32 letters or fewer): one set test per 8-letter window,
-  m - 7 tests at Python level;
-- few heads and a long row, H (m + 128) < 64 (m - 32) (the two or three
-  representatives of a read set, hundreds of letters each): ``u.find``
-  jumps from one occurrence of each head to the next, H scans of the row
-  in C, each costing about as much as 2 + m / 64 window tests, plus a
-  fixed 32 for building and sorting the row's candidates.
-
-The suffixes shorter than 8 letters are always looked up.  So a call
-costs one sort, at most sum |s_i| window tests at Python level (H finds
-per long row instead), one lookup per suffix shorter than 8 or starting
-with a head, and the cells of the runs, instead of N^2 per-pair scans.
+the runs shrink geometrically with k).  The suffixes a row looks up are
+its 7 shortest and those that start with a head: the head index's hits in
+the row, or, on a small input, the windows found in a set of the heads.
 
 Cycle covers are computed exactly with scipy's assignment solver,
 ``linear_sum_assignment`` (Crouse, IEEE TAES 2016).  It is the only scipy
@@ -74,12 +79,12 @@ import numpy as np
 
 _LOOP_BAN = 1 << 40  # dwarfs any realistic total weight
 _TOP_CHAR = chr(0x10FFFF)
-_HEAD = 8  # letters of overlap_matrix's prefix filter
-# overlap_matrix's cost model, in window tests: testing every window of a row
-# of m letters costs m; jumping with u.find costs _FIND_ROW per row plus
-# 2 + m / _FIND_LETTERS per head
-_FIND_ROW = 32
-_FIND_LETTERS = 64
+_HEAD = 8  # letters of a string's head, the head index's window
+# Inputs of fewer letters skip the head index: building it costs more than
+# the direct scans it replaces there
+_INDEX_LETTERS = 768
+_HASH_BASE = np.uint64(0x100000001B3)  # 64-bit FNV prime, odd
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio, odd: Fibonacci hashing
 
 
 @dataclass(frozen=True)
@@ -132,9 +137,91 @@ class DegenerateInstanceError(ValueError):
         self.log = list(log)
 
 
+def _window_keys(text: str) -> np.ndarray:
+    """A uint64 key for each window of ``_HEAD`` letters of ``text``, by
+    start; equal windows get equal keys.  ASCII text is keyed exactly: each
+    window's 8 bytes read as one integer, through a stride-1 view of the
+    encoded text.  Other text gets a polynomial hash of its code points
+    modulo 2^64, so unequal windows may share a key."""
+    count = len(text) - _HEAD + 1
+    if count <= 0:
+        return np.zeros(0, dtype=np.uint64)
+    if text.isascii():
+        return np.ndarray((count,), dtype=np.uint64, buffer=text.encode("ascii"),
+                          strides=(1,))
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
+                          dtype=np.uint32).astype(np.uint64)
+    keys = codes[:count].copy()
+    for k in range(1, _HEAD):
+        keys *= _HASH_BASE
+        keys += codes[k:k + count]
+    return keys
+
+
+def _slot(keys: np.ndarray, bits: int) -> np.ndarray:
+    """The top ``bits`` bits of ``keys * _MIX`` (Fibonacci hashing), as
+    indices."""
+    mixed = keys * _MIX
+    mixed >>= np.uint64(64 - bits)
+    return mixed.view(np.intp)
+
+
+def _head_hits(texts: Sequence[str], strings: Sequence[str]) -> tuple[list[int], ...]:
+    """The head index of ``strings`` over ``texts``: the lists ``(text,
+    start, first, last, heads)``.
+
+    ``heads`` holds the indices of the strings of ``_HEAD`` letters or more,
+    ordered by the keys of their heads, then by index.  Hit ``h`` is the
+    window of ``_HEAD`` letters at ``start[h]`` in ``texts[text[h]]``, whose
+    key is that of the heads of the strings ``heads[first[h]:last[h]]``;
+    the hits are every such window, ascending by text, then start.  ASCII
+    keys are exact, so a hit in ASCII input is an occurrence of each of
+    those heads; a hashed key may also match other windows, so a consumer
+    confirms each hit.  Texts and heads are keyed in one call, so that both
+    get the same kind of key.
+    """
+    heads = [i for i, s in enumerate(strings) if len(s) >= _HEAD]
+    joined = "".join(texts)
+    size = len(joined)
+    if not heads or size < _HEAD:
+        return [], [], [], [], []
+    keys = _window_keys(joined + "".join([strings[i][:_HEAD] for i in heads]))
+    order = keys[size::_HEAD].argsort(kind="stable")
+    head_keys = keys[size::_HEAD][order]
+    windows = keys[:size - _HEAD + 1]
+    # a table of 16 to 32 slots per head, addressed by the top bits of a
+    # multiplicative hash, leaves few windows to search for among the heads
+    bits = 4 + len(heads).bit_length()
+    slots = np.zeros(1 << bits, dtype=bool)
+    slots[_slot(head_keys, bits)] = True
+    hit = np.flatnonzero(slots[_slot(windows, bits)])
+    key = windows[hit]
+    first = head_keys.searchsorted(key)
+    found = head_keys.take(first, mode="clip") == key
+    hit, first = hit[found], first[found]
+    last = head_keys.searchsorted(key[found], side="right")
+    if len(texts) == 1:
+        start, text = hit.tolist(), [0] * len(hit)
+    else:
+        lengths = np.array([len(t) for t in texts])
+        ends = lengths.cumsum()
+        text = ends.searchsorted(hit, side="right")
+        inside = hit + _HEAD <= ends[text]  # drop windows across two texts
+        text, hit, first, last = text[inside], hit[inside], first[inside], last[inside]
+        start = (hit - ends[text] + lengths[text]).tolist()
+        text = text.tolist()
+    return text, start, first.tolist(), last.tolist(), np.array(heads)[order].tolist()
+
+
 def _first_containers(strings: Sequence[str]) -> list[int | None]:
     """For each string, the index of the first other string that contains
-    it, or None: the substring-free rule of ``normalize`` and ``Instance``."""
+    it, or None: the substring-free rule of ``normalize`` and ``Instance``.
+
+    A direct ``s in t`` scan on fewer than ``_INDEX_LETTERS`` letters, and
+    ``_indexed_first_containers`` from there on.
+    """
+    if sum(map(len, strings)) >= _INDEX_LETTERS:
+        return _indexed_first_containers(strings)
     found = []
     for i, s in enumerate(strings):
         for j, t in enumerate(strings):
@@ -144,6 +231,46 @@ def _first_containers(strings: Sequence[str]) -> list[int | None]:
         else:
             found.append(None)
     return found
+
+
+def _indexed_first_containers(strings: Sequence[str]) -> list[int | None]:
+    """``_first_containers`` through the head index: string ``i`` is in
+    string ``j`` iff ``j`` holds ``i``'s head at some ``at`` with
+    ``strings[j].startswith(strings[i], at)``.  The index lists those
+    starts by ascending ``j``, so the first one confirmed is the answer.
+    Strings shorter than ``_HEAD`` are scanned directly."""
+    found = [None if len(s) >= _HEAD else
+             next((j for j, t in enumerate(strings) if s in t and i != j), None)
+             for i, s in enumerate(strings)]
+    lengths = [*map(len, strings)]
+    texts, starts, firsts, lasts, heads = _head_hits(strings, strings)
+    for j, at, first, last in zip(texts, starts, firsts, lasts):
+        t = strings[j]
+        room = lengths[j] - at
+        for i in heads[first:last]:
+            if (found[i] is None and i != j and lengths[i] <= room
+                    and t.startswith(strings[i], at)):
+                found[i] = j
+    return found
+
+
+def first_occurrences(text: str, strings: Sequence[str]) -> list[int]:
+    """``[text.find(s) for s in strings]``: the first start of each string
+    in ``text``, or -1.
+
+    A text of ``_INDEX_LETTERS`` letters or more is searched through the
+    head index: a string of ``_HEAD`` letters or more first occurs at the
+    first start of its head where ``text.startswith`` confirms it.
+    """
+    if len(text) < _INDEX_LETTERS:
+        return list(map(text.find, strings))
+    pos = [-1 if len(s) >= _HEAD else text.find(s) for s in strings]
+    _, starts, firsts, lasts, heads = _head_hits((text,), strings)
+    for at, first, last in zip(starts, firsts, lasts):
+        for i in heads[first:last]:
+            if pos[i] < 0 and text.startswith(strings[i], at):
+                pos[i] = at
+    return pos
 
 
 def normalize(raw: Sequence[str]) -> tuple[Instance, list[tuple[str, str]]]:
@@ -208,19 +335,22 @@ def overlap_matrix(strings: Sequence[str]) -> WeightMatrix:
     A suffix of ``_HEAD`` letters or more is looked up only if its first
     ``_HEAD`` letters are in ``heads``, the first ``_HEAD`` letters of every
     string (a shorter string is its own head and never equals a window);
-    no other suffix can start a string.  A row finds those suffixes by
-    testing each of its windows against ``heads``, or, when the row is
-    long and ``heads`` small enough that ``_FIND_ROW`` and
-    ``_FIND_LETTERS`` rate it cheaper, by jumping between the occurrences
-    of each ``_HEAD``-letter head with ``u.find``.  Both give the same
-    suffixes, looked up in the same ascending order, so every cell is the
-    same either way.
+    no other suffix can start a string.  On ``_INDEX_LETTERS`` letters or
+    more, a row's candidates are its 7 shortest suffixes and the starts of
+    the head index's hits in it; below, every suffix is a candidate.  Each
+    candidate is tested against ``heads``, which also drops a hashed key's
+    false hits, and the same suffixes are looked up in the same ascending
+    order either way, so every cell is the same.
     """
     n = len(strings)
     order = sorted(range(n), key=strings.__getitem__)
     keys = sorted(strings)  # == [strings[j] for j in order]
     head = _HEAD
     heads = {s[:head] for s in strings}
+    indexed = sum(map(len, strings)) >= _INDEX_LETTERS
+    if indexed:
+        rows, starts, _, _, _ = _head_hits(strings, strings)
+        done = 0  # hits of the rows before this one
     w = np.zeros((n, n), dtype=np.int64)
     for i, u in enumerate(strings):
         if not u:
@@ -228,11 +358,10 @@ def overlap_matrix(strings: Sequence[str]) -> WeightMatrix:
         row = w[i]
         m = len(u)
         ks = range(1, m + 1)
-        # the model never picks u.find for m <= _FIND_ROW; test m first
-        if m > _FIND_ROW and (len(heads) * (m + 2 * _FIND_LETTERS)
-                              < _FIND_LETTERS * (m - _FIND_ROW)):
-            ks = [*range(1, head), *sorted(
-                m - at for h in heads if len(h) == head for at in _occurrences(u, h))]
+        if indexed:
+            first, done = done, bisect_right(rows, i, done)
+            ks = [*range(1, min(m, head - 1) + 1),
+                  *[m - at for at in reversed(starts[first:done])]]
         for k in ks:
             at = m - k
             if k >= head and u[at:at + head] not in heads:
@@ -244,14 +373,6 @@ def overlap_matrix(strings: Sequence[str]) -> WeightMatrix:
                 row[lo:n if nxt is None else bisect_left(keys, nxt, lo)] = k
     # columns back from sorted to input order (argsort of order is its inverse)
     return WeightMatrix(w.take(sorted(range(n), key=order.__getitem__), axis=1))
-
-
-def _occurrences(u: str, h: str):
-    """Every start of ``h`` in ``u``, overlapping ones included."""
-    at = u.find(h)
-    while at >= 0:
-        yield at
-        at = u.find(h, at + 1)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,10 @@ The main route reduces the instance to a small set of *representatives*:
 ``greedy_superstring`` and ``exact_superstring`` are the classic baselines.
 All of them read the instance's overlap matrix and cover (``Instance.overlap``,
 ``Instance.cover``), which each instance computes once, and return through
-``_solution``, which checks the text against every instance string.
+``_solution``, which checks the text against every instance string.  The
+pipeline's string searches, that check and each representative's search
+for its members, are first occurrences from ``graph.first_occurrences``,
+which goes through the head index on long texts (see ``graph``).
 ``solve_each`` runs the ``ALGORITHMS`` by name and holds the run rules (s1
 under ``half`` is s2's run; ``combined`` is ``better_of`` s1 and s2);
 ``solve_combined`` and the ``solve``/``compare`` commands go through it.
@@ -32,7 +35,7 @@ import numpy as np
 
 from . import words
 from .atsp import DEFAULT_EXACT_LIMIT, SolverTag, int_table_type, max_path
-from .graph import Instance, overlap_matrix, path_overlaps
+from .graph import Instance, first_occurrences, overlap_matrix, path_overlaps
 
 
 @dataclass(frozen=True)
@@ -81,8 +84,9 @@ def _merge_texts(texts: Sequence[str], overlaps: Sequence[int]) -> str:
 def _solution(inst: Instance, text: str, algorithm: str, order=None) -> Solution:
     """``text`` as a Solution: each instance string is found in it once, a
     miss raises AssertionError, and ``order`` defaults to the strings' order
-    of first appearance."""
-    pos = [text.find(s) for s in inst.strings]
+    of first appearance.  The search is ``graph.first_occurrences``, through
+    the head index on a long text."""
+    pos = first_occurrences(text, inst.strings)
     if min(pos) < 0:
         raise AssertionError("pipeline output lost an input string")
     if order is None:
@@ -112,14 +116,14 @@ def representative(inst: Instance, cycle: Sequence[int]) -> Representative:
     single-letter NiceWord.  The cycle string of an exact minimum cover is
     primitive (Blum et al., JACM 1994), so it is its own repeating base and
     ``l`` is its length; ``nice_rotation`` raises ValueError on any other.
+    The members' first occurrences come from ``graph.first_occurrences``.
     """
     s_c = cycle_string(inst, cycle)
     nice = words.nice_rotation(s_c)
     members = [inst.strings[i] for i in cycle]
     window = words.w_string_prefix(nice, len(s_c) + max(len(m) for m in members))
     need = 0
-    for m in members:
-        at = window.find(m)
+    for m, at in zip(members, first_occurrences(window, members)):
         if at < 0:
             raise AssertionError(f"cycle member {m!r} missing from {window!r}")
         need = max(need, at + len(m))

@@ -29,7 +29,8 @@ loops:
   periodic stretch and never wins, so only the first of each such cluster
   is kept; that keeps the character work near O(n log n) even on inputs
   such as ``("ab" * k) + "b"``.  ``nice_rotation`` finds both extremes in
-  one ``w + w``.
+  one ``w + w`` and reads both extreme letters from one ``set(w)``, which
+  costs less than a ``min(w)`` and a ``max(w)`` over a long word.
 * Overlaps.  The seed, a prefix of ``v`` that reaches past its leading
   run of ``c = v[0]`` and is at least four letters long, finds the overlaps
   at least as long as itself: they start at its occurrences in the tail of
@@ -126,9 +127,10 @@ _MIN_STEP = 16
 _ROUND_CHARS = 4096
 
 
-def _extreme_start(w: str, ww: str, least: bool) -> int:
+def _extreme_start(w: str, ww: str, c: str, least: bool) -> int:
     """0-based start of the least (``least``) or greatest rotation of ``w``,
-    the earliest on ties; ``ww == w + w``.
+    the earliest on ties; ``ww == w + w`` and ``c`` is ``w``'s least letter
+    (``least``) or its greatest.
 
     The extreme rotation starts with a longest run of the extreme letter
     ``c``, so the starts of the runs at least ``k`` long, ``k`` the largest
@@ -144,7 +146,6 @@ def _extreme_start(w: str, ww: str, least: bool) -> int:
     wins.  Of each cluster of close candidates only the first is left.
     """
     n = len(w)
-    c = min(w) if least else max(w)
     k = 1
     while 2 * k < n and c * (2 * k) in ww:
         k *= 2
@@ -172,13 +173,13 @@ def _extreme_start(w: str, ww: str, least: bool) -> int:
 def minimal_rotation_index(w: str) -> int:
     """1-based start of the lexicographically smallest rotation (smallest index on ties)."""
     _require_nonempty(w)
-    return _extreme_start(w, w + w, True) + 1
+    return _extreme_start(w, w + w, min(w), True) + 1
 
 
 def maximal_rotation_index(w: str) -> int:
     """1-based start of the lexicographically largest rotation (smallest index on ties)."""
     _require_nonempty(w)
-    return _extreme_start(w, w + w, False) + 1
+    return _extreme_start(w, w + w, max(w), False) + 1
 
 
 # Shortest prefix of v whose occurrences in u's tail give the overlaps at
@@ -239,8 +240,9 @@ def nice_rotation(w: str) -> NiceWord:
         raise ValueError("not primitive")
     if n == 1:
         return NiceWord(word=w, kind=RotationKind.MAX, pmin_len=0)
-    imin = _extreme_start(w, ww, True)
-    imax = _extreme_start(w, ww, False)
+    letters = set(w)
+    imin = _extreme_start(w, ww, min(letters), True)
+    imax = _extreme_start(w, ww, max(letters), False)
     pmin_len = (imax - imin) % n
     if n - pmin_len <= pmin_len:
         return NiceWord(word=ww[imax:imax + n], kind=RotationKind.MAX,

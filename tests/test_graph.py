@@ -1,3 +1,4 @@
+import contextlib
 import importlib.machinery
 import importlib.util
 import os
@@ -125,11 +126,13 @@ TOP = chr(0x10FFFF)  # the last code point: no character sorts above it
 def affix_families(draw):
     """Unnormalized string lists: duplicates at different indices, single
     letters, strings that are prefixes, suffixes or rotations of others, and
-    periodic strings.  Rows run from 1 to about 200 letters, with few or
-    many distinct heads, so both candidate enumerations of overlap_matrix
-    (a window test per suffix, or u.find jumps between head occurrences)
-    see overlaps above ``graph._HEAD`` letters."""
-    alphabet = draw(st.sampled_from(["ab", "abc", "a" + TOP, TOP + "ab"]))
+    periodic strings, over ASCII letters, NUL, a non-ASCII letter and the
+    top code point.  Rows run from 1 to about 200 letters, with few or many
+    distinct heads, so that overlaps above ``graph._HEAD`` letters occur.
+    The lists stay below ``graph._INDEX_LETTERS``; the head-index tests
+    lower it to send them through the index."""
+    alphabet = draw(st.sampled_from(
+        ["ab", "abc", "a" + TOP, TOP + "ab", "\0ab", "\0\xe9" + TOP]))
 
     def periodic(lengths):
         return st.builds(lambda root, n: (root * n)[:n],
@@ -207,8 +210,8 @@ def test_overlap_matrix_on_read_like_instance():
 
 
 def test_overlap_matrix_on_read_like_representatives():
-    # three chromosomes at ~4x coverage: a few long representatives and few
-    # heads, the rows that jump between head occurrences with u.find
+    # three chromosomes at ~4x coverage: a few long representatives, whose
+    # matrix goes through the head index
     rng = random.Random(7)
     genomes = ["".join(rng.choice("ACGT") for _ in range(800)) for _ in range(3)]
     reads = []
@@ -226,6 +229,97 @@ def test_overlap_matrix_on_read_like_representatives():
 def test_overlap_matrix_rejects_empty_string():
     with pytest.raises(ValueError):
         overlap_matrix(["ab", ""])
+
+
+# ---------------------------------------------------------------- head index
+
+def scanned_first_containers(strings):
+    """The substring-free rule as a direct ``s in t`` scan."""
+    return [next((j for j, t in enumerate(strings) if s in t and i != j), None)
+            for i, s in enumerate(strings)]
+
+
+@contextlib.contextmanager
+def head_index(keys):
+    """Every input through the head index, its windows keyed by
+    ``graph._window_keys`` (``real``) or all given one key (``constant``),
+    so that every window of 8 letters is a hit of every head."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_INDEX_LETTERS", 0)
+        if keys == "constant":
+            mp.setattr(graph, "_window_keys", lambda text: np.zeros(
+                max(len(text) - graph._HEAD + 1, 0), dtype=np.uint64))
+        yield
+
+
+@st.composite
+def texts_with_strings(draw):
+    """A text and strings to find in it: pieces of the text, of its
+    rotations and of nothing, among them duplicates and strings shorter
+    than ``graph._HEAD``."""
+    strings = draw(affix_families())
+    text = draw(st.sampled_from(["".join(strings), "".join(reversed(strings)),
+                                 "\0".join(strings), "x"]))
+    pieces = st.tuples(st.integers(0, len(text)), st.integers(1, 30)).map(
+        lambda t: (text + text)[t[0]:t[0] + t[1]])
+    return text, strings + draw(st.lists(pieces, max_size=6))
+
+
+@pytest.mark.parametrize("keys", ["real", "constant"])
+@given(raw=affix_families())
+@settings(max_examples=100, deadline=None)
+def test_index_finds_the_first_containers_of_a_scan(keys, raw):
+    expected = scanned_first_containers(raw)
+    with head_index(keys):
+        assert graph._first_containers(raw) == expected
+
+
+@pytest.mark.parametrize("keys", ["real", "constant"])
+@given(strings=affix_families())
+@settings(max_examples=100, deadline=None)
+def test_index_gives_the_overlap_matrix_of_a_scan(keys, strings):
+    expected = [[len(brute.overlap(u, v)) for v in strings] for u in strings]
+    with head_index(keys):
+        assert overlap_matrix(strings).w.tolist() == expected
+
+
+@pytest.mark.parametrize("keys", ["real", "constant"])
+@given(case=texts_with_strings())
+@settings(max_examples=100, deadline=None)
+def test_index_finds_first_occurrences_like_find(keys, case):
+    text, strings = case
+    expected = [text.find(s) for s in strings]
+    with head_index(keys):
+        assert graph.first_occurrences(text, strings) == expected
+
+
+@pytest.mark.parametrize("letter", ["a", "\xe9", TOP])
+def test_index_hits_are_every_window_equal_to_a_head(letter):
+    texts = ["xxabcdefghabcdefgh", "abcdefg", "\0abcdefgh\0", "ghabcdef" * 2]
+    strings = ["abcdefghij", "abcdefgh", "short", "\0abcdefg", "habcdefg"]
+    texts, strings = ([s.replace("a", letter) for s in ss] for ss in (texts, strings))
+    text, start, first, last, heads = graph._head_hits(texts, strings)
+    hits = sorted((j, at, i) for j, t in enumerate(texts)
+                  for at in range(len(t) - graph._HEAD + 1)
+                  for i, s in enumerate(strings)
+                  if len(s) >= graph._HEAD and t[at:at + graph._HEAD] == s[:graph._HEAD])
+    assert [(j, at, i) for j, at, a, b in zip(text, start, first, last)
+            for i in heads[a:b]] == hits
+    assert [*zip(text, start)] == sorted({(j, at) for j, at, _ in hits})
+    assert sorted(heads) == [0, 1, 3, 4]
+
+
+def test_small_inputs_skip_the_index(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the head index ran on a small input")
+
+    monkeypatch.setattr(graph, "_head_hits", forbidden)
+    strings = ["ab" * 60, "ba" * 60 + "c", "abc" * 40]  # 481 letters
+    assert sum(map(len, strings)) < graph._INDEX_LETTERS
+    assert graph._first_containers(strings) == scanned_first_containers(strings)
+    overlap_matrix(strings)
+    text = "".join(strings)
+    assert graph.first_occurrences(text, strings) == [text.find(s) for s in strings]
 
 
 def test_equal_instances_each_compute_their_own_reduction(monkeypatch):

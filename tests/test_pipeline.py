@@ -5,6 +5,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -439,6 +440,45 @@ def test_exact_superstring_matches_enumeration():
         inst = random_instance(rng, max_n=5, max_len=8)
         assert (exact_superstring(inst).length
                 == brute.exact_superstring_length(inst.strings))
+
+
+# ------------------------------------------------------------- head index
+
+@st.composite
+def overlapping_raw(draw):
+    """Up to nine strings cut from one random text, so that many overlap
+    by 8 letters or more, over ASCII, NUL, non-ASCII and top letters."""
+    alphabet = draw(st.sampled_from(["ab", "abc", "\0a\xe9", "a" + chr(0x10FFFF)]))
+    text = draw(st.text(alphabet, min_size=8, max_size=120))
+    cut = st.tuples(st.integers(0, len(text) - 1), st.integers(1, 40)).map(
+        lambda t: text[t[0]:t[0] + t[1]])
+    return draw(st.lists(cut, min_size=2, max_size=9))
+
+
+@pytest.mark.parametrize("keys", ["real", "constant"])
+@given(raw=overlapping_raw())
+@settings(max_examples=150, deadline=None)
+def test_every_solver_gives_the_same_text_through_the_head_index(keys, raw):
+    """Below ``graph._INDEX_LETTERS`` every search is a direct scan; with the
+    constant at 0 every search goes through the head index, its windows
+    keyed for real or all given one key, and every result is the same."""
+    def results():
+        try:
+            inst, log = normalize(raw)
+        except DegenerateInstanceError as exc:
+            return exc.survivors, exc.log
+        runs = [(algo, sol) for tag in (SolverTag.EXACT, SolverTag.CYCLE_COVER_HALF)
+                for algo, sol, _ in pipeline.solve_each(
+                    inst, ("combined", "s1", "s2", "greedy", "exact"), tag)]
+        return inst.strings, log, representatives(inst), runs
+
+    expected = results()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_INDEX_LETTERS", 0)
+        if keys == "constant":
+            mp.setattr(graph, "_window_keys", lambda text: np.zeros(
+                max(len(text) - graph._HEAD + 1, 0), dtype=np.uint64))
+        assert results() == expected
 
 
 # ---------------------------------------------------------------- validation
