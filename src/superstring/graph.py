@@ -15,13 +15,11 @@ Each input is checked substring-free once, by ``normalize`` or ``Instance``.
 
 The substring questions go through one *head index* (a q-gram filter,
 Ukkonen, TCS 1992).  A string's head is its first ``_HEAD`` (8) letters.
-``_head_hits`` lists every window of 8 letters in a list of texts whose key
-equals the key of some string's head, in ascending (text, start) order.  A
-window of ASCII text is keyed exactly, by its 8 bytes read as one integer;
-other text gets a 64-bit hash of its code points, so unequal windows may
-share a key, and every consumer confirms each hit with ``startswith`` or a
-lookup of its own.  String ``i`` of 8 letters or more occurs in a text
-only where the text holds ``i``'s head, so:
+``_head_hits`` lists every window of 8 letters in a list of texts that
+equals some string's head, in ascending (text, start) order; each window
+is keyed exactly, by its 8 bytes read as one integer.  String ``i`` of 8
+letters or more occurs in a text only where the text holds ``i``'s head,
+so:
 
 - ``_first_containers``, the substring-free rule, tests string ``i``
   against string ``j`` only at the starts of ``i``'s head in ``j``;
@@ -31,10 +29,16 @@ only where the text holds ``i``'s head, so:
 - ``overlap_matrix`` looks up a suffix of 8 letters or more only where it
   starts with a head.
 
-Strings shorter than 8 letters are always scanned directly, and an input
-of fewer than ``_INDEX_LETTERS`` letters skips the index: each consumer
-tests the size first and then runs a direct scan, which is cheaper than
-building the index at those sizes.
+Each consumer still confirms every hit, with ``startswith`` or a lookup of
+its own, so no answer depends on the keys.  Strings shorter than 8 letters
+are always scanned directly.  Each consumer tests the size first: an input
+of fewer than ``_INDEX_LETTERS`` letters skips the index, whose building
+costs more than the direct scans it replaces there.  Input that is not all
+ASCII skips it too; the CLI reads only ASCII.  The first two consumers also
+give the index up, for the direct scan, when its hits name more than N^2
+(hit, string) pairs for N strings, each confirmed in Python, as on long
+runs of one repeated head (a homopolymer), where every window is a hit of
+every string that starts with it.
 
 The overlap matrix comes from one sorted prefix index instead of per-pair
 scans, in the spirit of Gusfield, Landau & Schieber's all-pairs
@@ -47,7 +51,8 @@ character comparisons in C for a suffix of length k; the fills cost the
 cells of the runs, written by numpy (at most N per suffix; on random text
 the runs shrink geometrically with k).  The suffixes a row looks up are
 its 7 shortest and those that start with a head: the head index's hits in
-the row, or, on a small input, the windows found in a set of the heads.
+the row, or, on a small or non-ASCII input, the windows found in a set
+of the heads.
 
 Cycle covers are computed exactly with scipy's assignment solver,
 ``linear_sum_assignment`` (Crouse, IEEE TAES 2016).  It is the only scipy
@@ -83,7 +88,6 @@ _HEAD = 8  # letters of a string's head, the head index's window
 # Inputs of fewer letters skip the head index: building it costs more than
 # the direct scans it replaces there
 _INDEX_LETTERS = 768
-_HASH_BASE = np.uint64(0x100000001B3)  # 64-bit FNV prime, odd
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio, odd: Fibonacci hashing
 
 
@@ -138,24 +142,12 @@ class DegenerateInstanceError(ValueError):
 
 
 def _window_keys(text: str) -> np.ndarray:
-    """A uint64 key for each window of ``_HEAD`` letters of ``text``, by
-    start; equal windows get equal keys.  ASCII text is keyed exactly: each
-    window's 8 bytes read as one integer, through a stride-1 view of the
-    encoded text.  Other text gets a polynomial hash of its code points
-    modulo 2^64, so unequal windows may share a key."""
-    count = len(text) - _HEAD + 1
-    if count <= 0:
-        return np.zeros(0, dtype=np.uint64)
-    if text.isascii():
-        return np.ndarray((count,), dtype=np.uint64, buffer=text.encode("ascii"),
-                          strides=(1,))
-    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
-                          dtype=np.uint32).astype(np.uint64)
-    keys = codes[:count].copy()
-    for k in range(1, _HEAD):
-        keys *= _HASH_BASE
-        keys += codes[k:k + count]
-    return keys
+    """A uint64 key for each window of ``_HEAD`` letters of the ASCII
+    ``text`` (at least ``_HEAD`` letters), by start: the window's 8 bytes
+    read as one integer, through a stride-1 view of the encoded text, so
+    two windows share a key iff they are equal."""
+    return np.ndarray((len(text) - _HEAD + 1,), dtype=np.uint64,
+                      buffer=text.encode("ascii"), strides=(1,))
 
 
 def _slot(keys: np.ndarray, bits: int) -> np.ndarray:
@@ -166,26 +158,27 @@ def _slot(keys: np.ndarray, bits: int) -> np.ndarray:
     return mixed.view(np.intp)
 
 
-def _head_hits(texts: Sequence[str], strings: Sequence[str]) -> tuple[list[int], ...]:
+def _head_hits(texts: Sequence[str], strings: Sequence[str],
+               budget: int | None = None) -> tuple[list[int], ...] | None:
     """The head index of ``strings`` over ``texts``: the lists ``(text,
-    start, first, last, heads)``.
+    start, first, last, heads)``, or None when a text or a head is not
+    ASCII, or when the hits name more than ``budget`` (hit, string) pairs.
 
     ``heads`` holds the indices of the strings of ``_HEAD`` letters or more,
     ordered by the keys of their heads, then by index.  Hit ``h`` is the
     window of ``_HEAD`` letters at ``start[h]`` in ``texts[text[h]]``, whose
     key is that of the heads of the strings ``heads[first[h]:last[h]]``;
-    the hits are every such window, ascending by text, then start.  ASCII
-    keys are exact, so a hit in ASCII input is an occurrence of each of
-    those heads; a hashed key may also match other windows, so a consumer
-    confirms each hit.  Texts and heads are keyed in one call, so that both
-    get the same kind of key.
+    the hits are every such window, ascending by text, then start.
     """
     heads = [i for i, s in enumerate(strings) if len(s) >= _HEAD]
     joined = "".join(texts)
     size = len(joined)
     if not heads or size < _HEAD:
         return [], [], [], [], []
-    keys = _window_keys(joined + "".join([strings[i][:_HEAD] for i in heads]))
+    letters = joined + "".join([strings[i][:_HEAD] for i in heads])
+    if not letters.isascii():
+        return None
+    keys = _window_keys(letters)
     order = keys[size::_HEAD].argsort(kind="stable")
     head_keys = keys[size::_HEAD][order]
     windows = keys[:size - _HEAD + 1]
@@ -201,27 +194,33 @@ def _head_hits(texts: Sequence[str], strings: Sequence[str]) -> tuple[list[int],
     hit, first = hit[found], first[found]
     last = head_keys.searchsorted(key[found], side="right")
     if len(texts) == 1:
-        start, text = hit.tolist(), [0] * len(hit)
+        text = np.zeros_like(hit)
+        start = hit
     else:
         lengths = np.array([len(t) for t in texts])
         ends = lengths.cumsum()
         text = ends.searchsorted(hit, side="right")
         inside = hit + _HEAD <= ends[text]  # drop windows across two texts
         text, hit, first, last = text[inside], hit[inside], first[inside], last[inside]
-        start = (hit - ends[text] + lengths[text]).tolist()
-        text = text.tolist()
-    return text, start, first.tolist(), last.tolist(), np.array(heads)[order].tolist()
+        start = hit - ends[text] + lengths[text]
+    if budget is not None and int((last - first).sum()) > budget:
+        return None
+    return (text.tolist(), start.tolist(), first.tolist(), last.tolist(),
+            np.array(heads)[order].tolist())
 
 
 def _first_containers(strings: Sequence[str]) -> list[int | None]:
     """For each string, the index of the first other string that contains
     it, or None: the substring-free rule of ``normalize`` and ``Instance``.
 
-    A direct ``s in t`` scan on fewer than ``_INDEX_LETTERS`` letters, and
-    ``_indexed_first_containers`` from there on.
+    From ``_INDEX_LETTERS`` letters on, through the head index, given up
+    past N^2 (hit, string) pairs for N strings; otherwise a direct ``s in
+    t`` scan.
     """
     if sum(map(len, strings)) >= _INDEX_LETTERS:
-        return _indexed_first_containers(strings)
+        hits = _head_hits(strings, strings, len(strings) ** 2)
+        if hits is not None:
+            return _indexed_first_containers(strings, hits)
     found = []
     for i, s in enumerate(strings):
         for j, t in enumerate(strings):
@@ -233,17 +232,19 @@ def _first_containers(strings: Sequence[str]) -> list[int | None]:
     return found
 
 
-def _indexed_first_containers(strings: Sequence[str]) -> list[int | None]:
-    """``_first_containers`` through the head index: string ``i`` is in
-    string ``j`` iff ``j`` holds ``i``'s head at some ``at`` with
-    ``strings[j].startswith(strings[i], at)``.  The index lists those
-    starts by ascending ``j``, so the first one confirmed is the answer.
-    Strings shorter than ``_HEAD`` are scanned directly."""
+def _indexed_first_containers(strings: Sequence[str],
+                              hits: tuple[list[int], ...]) -> list[int | None]:
+    """``_first_containers`` from the head index ``hits`` of ``strings``
+    over themselves: string ``i`` is in string ``j`` iff ``j`` holds
+    ``i``'s head at some ``at`` with ``strings[j].startswith(strings[i],
+    at)``.  The index lists those starts by ascending ``j``, so the first
+    one confirmed is the answer.  Strings shorter than ``_HEAD`` are
+    scanned directly."""
     found = [None if len(s) >= _HEAD else
              next((j for j, t in enumerate(strings) if s in t and i != j), None)
              for i, s in enumerate(strings)]
     lengths = [*map(len, strings)]
-    texts, starts, firsts, lasts, heads = _head_hits(strings, strings)
+    texts, starts, firsts, lasts, heads = hits
     for j, at, first, last in zip(texts, starts, firsts, lasts):
         t = strings[j]
         room = lengths[j] - at
@@ -259,17 +260,26 @@ def first_occurrences(text: str, strings: Sequence[str]) -> list[int]:
     in ``text``, or -1.
 
     A text of ``_INDEX_LETTERS`` letters or more is searched through the
-    head index: a string of ``_HEAD`` letters or more first occurs at the
-    first start of its head where ``text.startswith`` confirms it.
+    head index, given up past N^2 (hit, string) pairs for N strings: a
+    string of ``_HEAD`` letters or more first occurs at the first start of
+    its head where ``text.startswith`` confirms it, and the search stops
+    once every such string is found.
     """
-    if len(text) < _INDEX_LETTERS:
+    hits = None
+    if len(text) >= _INDEX_LETTERS:
+        hits = _head_hits((text,), strings, len(strings) ** 2)
+    if hits is None:
         return list(map(text.find, strings))
     pos = [-1 if len(s) >= _HEAD else text.find(s) for s in strings]
-    _, starts, firsts, lasts, heads = _head_hits((text,), strings)
+    _, starts, firsts, lasts, heads = hits
+    pending = len(heads)
     for at, first, last in zip(starts, firsts, lasts):
         for i in heads[first:last]:
             if pos[i] < 0 and text.startswith(strings[i], at):
                 pos[i] = at
+                pending -= 1
+        if not pending:
+            break
     return pos
 
 
@@ -335,11 +345,11 @@ def overlap_matrix(strings: Sequence[str]) -> WeightMatrix:
     A suffix of ``_HEAD`` letters or more is looked up only if its first
     ``_HEAD`` letters are in ``heads``, the first ``_HEAD`` letters of every
     string (a shorter string is its own head and never equals a window);
-    no other suffix can start a string.  On ``_INDEX_LETTERS`` letters or
-    more, a row's candidates are its 7 shortest suffixes and the starts of
-    the head index's hits in it; below, every suffix is a candidate.  Each
-    candidate is tested against ``heads``, which also drops a hashed key's
-    false hits, and the same suffixes are looked up in the same ascending
+    no other suffix can start a string.  Through the head index (ASCII
+    input of ``_INDEX_LETTERS`` letters or more), a row's candidates are its
+    7 shortest suffixes and the starts of the index's hits in it; otherwise
+    every suffix is a candidate.  Each candidate is tested against
+    ``heads``, and the same suffixes are looked up in the same ascending
     order either way, so every cell is the same.
     """
     n = len(strings)
@@ -347,9 +357,11 @@ def overlap_matrix(strings: Sequence[str]) -> WeightMatrix:
     keys = sorted(strings)  # == [strings[j] for j in order]
     head = _HEAD
     heads = {s[:head] for s in strings}
-    indexed = sum(map(len, strings)) >= _INDEX_LETTERS
-    if indexed:
-        rows, starts, _, _, _ = _head_hits(strings, strings)
+    indexed = None
+    if sum(map(len, strings)) >= _INDEX_LETTERS:
+        indexed = _head_hits(strings, strings)
+    if indexed is not None:
+        rows, starts = indexed[:2]
         done = 0  # hits of the rows before this one
     w = np.zeros((n, n), dtype=np.int64)
     for i, u in enumerate(strings):
@@ -358,7 +370,7 @@ def overlap_matrix(strings: Sequence[str]) -> WeightMatrix:
         row = w[i]
         m = len(u)
         ks = range(1, m + 1)
-        if indexed:
+        if indexed is not None:
             first, done = done, bisect_right(rows, i, done)
             ks = [*range(1, min(m, head - 1) + 1),
                   *[m - at for at in reversed(starts[first:done])]]

@@ -18,7 +18,7 @@ All of them read the instance's overlap matrix and cover (``Instance.overlap``,
 ``_solution``, which checks the text against every instance string.  The
 pipeline's string searches, that check and each representative's search
 for its members, are first occurrences from ``graph.first_occurrences``,
-which goes through the head index on long texts (see ``graph``).
+which goes through the head index on long ASCII texts (see ``graph``).
 ``solve_each`` runs the ``ALGORITHMS`` by name and holds the run rules (s1
 under ``half`` is s2's run; ``combined`` is ``better_of`` s1 and s2);
 ``solve_combined`` and the ``solve``/``compare`` commands go through it.
@@ -85,7 +85,7 @@ def _solution(inst: Instance, text: str, algorithm: str, order=None) -> Solution
     """``text`` as a Solution: each instance string is found in it once, a
     miss raises AssertionError, and ``order`` defaults to the strings' order
     of first appearance.  The search is ``graph.first_occurrences``, through
-    the head index on a long text."""
+    the head index on a long ASCII text."""
     pos = first_occurrences(text, inst.strings)
     if min(pos) < 0:
         raise AssertionError("pipeline output lost an input string")

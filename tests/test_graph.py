@@ -239,16 +239,25 @@ def scanned_first_containers(strings):
             for i, s in enumerate(strings)]
 
 
+def constant_keys(mp):
+    """Give every window of 8 letters one key, so that it is a hit of every
+    head, and lift the budget on (hit, string) pairs that would send such
+    an index back to the direct scan."""
+    hits = graph._head_hits
+    mp.setattr(graph, "_window_keys", lambda text: np.zeros(
+        len(text) - graph._HEAD + 1, dtype=np.uint64))
+    mp.setattr(graph, "_head_hits",
+               lambda texts, strings, budget=None: hits(texts, strings))
+
+
 @contextlib.contextmanager
 def head_index(keys):
-    """Every input through the head index, its windows keyed by
-    ``graph._window_keys`` (``real``) or all given one key (``constant``),
-    so that every window of 8 letters is a hit of every head."""
+    """Every ASCII input through the head index, its windows keyed by
+    ``graph._window_keys`` (``real``) or all given one key (``constant``)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "_INDEX_LETTERS", 0)
         if keys == "constant":
-            mp.setattr(graph, "_window_keys", lambda text: np.zeros(
-                max(len(text) - graph._HEAD + 1, 0), dtype=np.uint64))
+            constant_keys(mp)
         yield
 
 
@@ -293,7 +302,7 @@ def test_index_finds_first_occurrences_like_find(keys, case):
         assert graph.first_occurrences(text, strings) == expected
 
 
-@pytest.mark.parametrize("letter", ["a", "\xe9", TOP])
+@pytest.mark.parametrize("letter", ["a", "\0", "\x7f"])
 def test_index_hits_are_every_window_equal_to_a_head(letter):
     texts = ["xxabcdefghabcdefgh", "abcdefg", "\0abcdefgh\0", "ghabcdef" * 2]
     strings = ["abcdefghij", "abcdefgh", "short", "\0abcdefg", "habcdefg"]
@@ -307,6 +316,35 @@ def test_index_hits_are_every_window_equal_to_a_head(letter):
             for i in heads[a:b]] == hits
     assert [*zip(text, start)] == sorted({(j, at) for j, at, _ in hits})
     assert sorted(heads) == [0, 1, 3, 4]
+
+
+@pytest.mark.parametrize("where", ["text", "head"])
+def test_non_ascii_input_skips_the_index(monkeypatch, where):
+    monkeypatch.setattr(graph, "_INDEX_LETTERS", 0)
+    strings = ["abcdefghij", "cdefghijkl", "\xe9"]  # a short string is no head
+    text = "xxabcdefghijkl"
+    assert graph._head_hits([text], strings) is not None
+    if where == "text":
+        text += "\xe9"
+    else:
+        strings[1] = "\xe9" + strings[1]
+    assert graph._head_hits([text], strings) is None
+    strings.append(text)
+    assert graph._first_containers(strings) == scanned_first_containers(strings)
+    assert overlap_matrix(strings).w.tolist() == [
+        [len(brute.overlap(u, v)) for v in strings] for u in strings]
+    assert graph.first_occurrences(text, strings) == [text.find(s) for s in strings]
+
+
+def test_a_long_run_of_one_head_gives_the_index_up():
+    # every window of every string is a hit of every string: 13 million
+    # (hit, string) pairs, where a direct scan tests 300^2
+    strings = ["a" * k for k in range(8, 308)]
+    n = len(strings)
+    assert graph._head_hits(strings, strings, n * n) is None
+    assert graph._first_containers(strings) == [*range(1, n), None]
+    text = "b" * 1000 + strings[-1]
+    assert graph.first_occurrences(text, strings) == [1000] * n
 
 
 def test_small_inputs_skip_the_index(monkeypatch):

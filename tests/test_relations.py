@@ -3,7 +3,9 @@ cannot reach: on Hypothesis draws and on one set of over a thousand reads.
 
 - Order-preserving relabelling maps every text letter for letter, once into
   other ASCII letters and once into non-ASCII ones.  Only order-preserving
-  maps qualify, because nice rotations depend on letter order.
+  maps qualify, because nice rotations depend on letter order.  Large ASCII
+  input goes through ``graph``'s head index and non-ASCII input through its
+  direct scans, so at scale the two must agree.
 - Reversing every string transposes the overlap matrix, so the minimum
   cycle cover's weight and the optimal superstring's length stay the same.
 - Blum et al.'s Mgreedy theorem (JACM 1994): on the overlap matrix of a
