@@ -29,16 +29,23 @@ so:
 - ``overlap_matrix`` looks up a suffix of 8 letters or more only where it
   starts with a head.
 
-Each consumer still confirms every hit, with ``startswith`` or a lookup of
-its own, so no answer depends on the keys.  Strings shorter than 8 letters
-are always scanned directly.  Each consumer tests the size first: an input
-of fewer than ``_INDEX_LETTERS`` letters skips the index, whose building
-costs more than the direct scans it replaces there.  Input that is not all
-ASCII skips it too; the CLI reads only ASCII.  The first two consumers also
-give the index up, for the direct scan, when its hits name more than N^2
-(hit, string) pairs for N strings, each confirmed in Python, as on long
-runs of one repeated head (a homopolymer), where every window is a hit of
-every string that starts with it.
+``_first_hits`` confirms each hit for the first two with ``startswith``
+and finds the strings shorter than 8 letters with ``find``;
+``overlap_matrix`` confirms its hits by the lookups it makes anyway, so no
+answer depends on the keys.
+
+``_head_hits`` alone decides where the index runs.  It returns None, and
+each consumer runs its own direct scan instead, when
+
+- the texts hold fewer than ``_INDEX_LETTERS`` letters in all, where
+  building the index costs more than the scans it replaces;
+- no string has 8 letters, so no string has a head;
+- a text or a head is not ASCII (the CLI reads only ASCII);
+- the hits name more than a ``budget`` of (hit, string) pairs, each to be
+  confirmed in Python, as on long runs of one repeated head (a
+  homopolymer), where every window is a hit of every string that starts
+  with it.  The first two consumers pass N^2 for N strings, the cost of
+  their direct scans.
 
 The overlap matrix comes from one sorted prefix index instead of per-pair
 scans, in the spirit of Gusfield, Landau & Schieber's all-pairs
@@ -51,8 +58,8 @@ character comparisons in C for a suffix of length k; the fills cost the
 cells of the runs, written by numpy (at most N per suffix; on random text
 the runs shrink geometrically with k).  The suffixes a row looks up are
 its 7 shortest and those that start with a head: the head index's hits in
-the row, or, on a small or non-ASCII input, the windows found in a set
-of the heads.
+the row, or, where the index does not run, the windows found in a set of
+the heads.
 
 Cycle covers are computed exactly with scipy's assignment solver,
 ``linear_sum_assignment`` (Crouse, IEEE TAES 2016).  It is the only scipy
@@ -161,8 +168,8 @@ def _slot(keys: np.ndarray, bits: int) -> np.ndarray:
 def _head_hits(texts: Sequence[str], strings: Sequence[str],
                budget: int | None = None) -> tuple[list[int], ...] | None:
     """The head index of ``strings`` over ``texts``: the lists ``(text,
-    start, first, last, heads)``, or None when a text or a head is not
-    ASCII, or when the hits name more than ``budget`` (hit, string) pairs.
+    start, first, last, heads)``, or None where a direct scan answers
+    instead (see the module docstring).
 
     ``heads`` holds the indices of the strings of ``_HEAD`` letters or more,
     ordered by the keys of their heads, then by index.  Hit ``h`` is the
@@ -170,17 +177,19 @@ def _head_hits(texts: Sequence[str], strings: Sequence[str],
     key is that of the heads of the strings ``heads[first[h]:last[h]]``;
     the hits are every such window, ascending by text, then start.
     """
+    size = sum(map(len, texts))
+    if size < _INDEX_LETTERS or size < _HEAD:  # below _HEAD, not one window
+        return None
     heads = [i for i, s in enumerate(strings) if len(s) >= _HEAD]
-    joined = "".join(texts)
-    size = len(joined)
-    if not heads or size < _HEAD:
-        return [], [], [], [], []
-    letters = joined + "".join([strings[i][:_HEAD] for i in heads])
+    if not heads:
+        return None
+    letters = "".join([*texts, *[strings[i][:_HEAD] for i in heads]])
     if not letters.isascii():
         return None
     keys = _window_keys(letters)
-    order = keys[size::_HEAD].argsort(kind="stable")
-    head_keys = keys[size::_HEAD][order]
+    head_keys = keys[size::_HEAD]
+    order = head_keys.argsort(kind="stable")
+    head_keys = head_keys[order]
     windows = keys[:size - _HEAD + 1]
     # a table of 16 to 32 slots per head, addressed by the top bits of a
     # multiplicative hash, leaves few windows to search for among the heads
@@ -193,34 +202,73 @@ def _head_hits(texts: Sequence[str], strings: Sequence[str],
     found = head_keys.take(first, mode="clip") == key
     hit, first = hit[found], first[found]
     last = head_keys.searchsorted(key[found], side="right")
+    # windows across two texts count too: they can only give the index up
+    if budget is not None and int((last - first).sum()) > budget:
+        return None
     if len(texts) == 1:
-        text = np.zeros_like(hit)
-        start = hit
+        text = [0] * len(hit)
     else:
         lengths = np.array([len(t) for t in texts])
         ends = lengths.cumsum()
         text = ends.searchsorted(hit, side="right")
         inside = hit + _HEAD <= ends[text]  # drop windows across two texts
         text, hit, first, last = text[inside], hit[inside], first[inside], last[inside]
-        start = hit - ends[text] + lengths[text]
-    if budget is not None and int((last - first).sum()) > budget:
-        return None
-    return (text.tolist(), start.tolist(), first.tolist(), last.tolist(),
+        hit -= ends[text] - lengths[text]  # a start in its own text
+        text = text.tolist()
+    return (text, hit.tolist(), first.tolist(), last.tolist(),
             np.array(heads)[order].tolist())
+
+
+def _first_hits(texts: Sequence[str], strings: Sequence[str],
+                hits: tuple[list[int], ...], own: bool) -> tuple[list[int | None], list[int]]:
+    """For each string, the first text that holds it and its first start
+    there, through the head index ``hits`` of ``strings`` over ``texts``:
+    the lists ``(text, start)``, None and -1 where no text does.
+
+    A string of ``_HEAD`` letters or more occurs only at a hit of its head,
+    where ``startswith`` confirms it; the hits ascend by text, then start,
+    so the first one confirmed is the answer, and the search stops once
+    every such string is found.  A shorter string is found by ``find``.
+    ``own`` says that ``texts`` are ``strings``: string ``i`` is then not
+    looked for in ``texts[i]``, and a hit where the string would run past
+    its text's end is skipped without a call, as most hits of one string
+    in another are, where the two only overlap.
+    """
+    where = [None] * len(strings)
+    pos = [-1] * len(strings)
+    text, start, first, last, heads = hits
+    if len(heads) < len(strings):
+        for i, s in enumerate(strings):
+            if len(s) < _HEAD:
+                for j, t in enumerate(texts):
+                    if not (own and i == j) and (at := t.find(s)) >= 0:
+                        where[i], pos[i] = j, at
+                        break
+    lengths = [*map(len, strings)]
+    pending = len(heads)
+    for j, at, a, b in zip(text, start, first, last):
+        t = texts[j]
+        for i in heads[a:b]:
+            if (pos[i] < 0 and (not own or lengths[i] + at <= lengths[j] and i != j)
+                    and t.startswith(strings[i], at)):
+                where[i], pos[i] = j, at
+                pending -= 1
+                if not pending:
+                    return where, pos
+    return where, pos
 
 
 def _first_containers(strings: Sequence[str]) -> list[int | None]:
     """For each string, the index of the first other string that contains
     it, or None: the substring-free rule of ``normalize`` and ``Instance``.
 
-    From ``_INDEX_LETTERS`` letters on, through the head index, given up
-    past N^2 (hit, string) pairs for N strings; otherwise a direct ``s in
-    t`` scan.
+    Through the head index where ``_head_hits`` gives one, on a budget of
+    N^2 (hit, string) pairs for N strings; otherwise a direct ``s in t``
+    scan.
     """
-    if sum(map(len, strings)) >= _INDEX_LETTERS:
-        hits = _head_hits(strings, strings, len(strings) ** 2)
-        if hits is not None:
-            return _indexed_first_containers(strings, hits)
+    hits = _head_hits(strings, strings, len(strings) ** 2)
+    if hits is not None:
+        return _first_hits(strings, strings, hits, True)[0]
     found = []
     for i, s in enumerate(strings):
         for j, t in enumerate(strings):
@@ -232,55 +280,18 @@ def _first_containers(strings: Sequence[str]) -> list[int | None]:
     return found
 
 
-def _indexed_first_containers(strings: Sequence[str],
-                              hits: tuple[list[int], ...]) -> list[int | None]:
-    """``_first_containers`` from the head index ``hits`` of ``strings``
-    over themselves: string ``i`` is in string ``j`` iff ``j`` holds
-    ``i``'s head at some ``at`` with ``strings[j].startswith(strings[i],
-    at)``.  The index lists those starts by ascending ``j``, so the first
-    one confirmed is the answer.  Strings shorter than ``_HEAD`` are
-    scanned directly."""
-    found = [None if len(s) >= _HEAD else
-             next((j for j, t in enumerate(strings) if s in t and i != j), None)
-             for i, s in enumerate(strings)]
-    lengths = [*map(len, strings)]
-    texts, starts, firsts, lasts, heads = hits
-    for j, at, first, last in zip(texts, starts, firsts, lasts):
-        t = strings[j]
-        room = lengths[j] - at
-        for i in heads[first:last]:
-            if (found[i] is None and i != j and lengths[i] <= room
-                    and t.startswith(strings[i], at)):
-                found[i] = j
-    return found
-
-
 def first_occurrences(text: str, strings: Sequence[str]) -> list[int]:
     """``[text.find(s) for s in strings]``: the first start of each string
     in ``text``, or -1.
 
-    A text of ``_INDEX_LETTERS`` letters or more is searched through the
-    head index, given up past N^2 (hit, string) pairs for N strings: a
-    string of ``_HEAD`` letters or more first occurs at the first start of
-    its head where ``text.startswith`` confirms it, and the search stops
-    once every such string is found.
+    Through the head index where ``_head_hits`` gives one, on a budget of
+    N^2 (hit, string) pairs for N strings; otherwise ``text.find`` for
+    each string.
     """
-    hits = None
-    if len(text) >= _INDEX_LETTERS:
-        hits = _head_hits((text,), strings, len(strings) ** 2)
+    hits = _head_hits((text,), strings, len(strings) ** 2)
     if hits is None:
         return list(map(text.find, strings))
-    pos = [-1 if len(s) >= _HEAD else text.find(s) for s in strings]
-    _, starts, firsts, lasts, heads = hits
-    pending = len(heads)
-    for at, first, last in zip(starts, firsts, lasts):
-        for i in heads[first:last]:
-            if pos[i] < 0 and text.startswith(strings[i], at):
-                pos[i] = at
-                pending -= 1
-        if not pending:
-            break
-    return pos
+    return _first_hits((text,), strings, hits, False)[1]
 
 
 def normalize(raw: Sequence[str]) -> tuple[Instance, list[tuple[str, str]]]:
@@ -342,26 +353,23 @@ def overlap_matrix(strings: Sequence[str]) -> WeightMatrix:
     strings that start with it, in ascending ``k`` so the longest overlap
     is written last.  At ``k = |u|`` the run skips the copies of ``u``.
 
-    A suffix of ``_HEAD`` letters or more is looked up only if its first
-    ``_HEAD`` letters are in ``heads``, the first ``_HEAD`` letters of every
-    string (a shorter string is its own head and never equals a window);
-    no other suffix can start a string.  Through the head index (ASCII
-    input of ``_INDEX_LETTERS`` letters or more), a row's candidates are its
-    7 shortest suffixes and the starts of the index's hits in it; otherwise
-    every suffix is a candidate.  Each candidate is tested against
-    ``heads``, and the same suffixes are looked up in the same ascending
-    order either way, so every cell is the same.
+    A suffix of ``_HEAD`` letters or more can start a string only where it
+    starts with a head.  A row's candidates are its 7 shortest suffixes,
+    then the head index's hits in it, or, where the index does not apply,
+    the windows of ``_HEAD`` letters found in the set of the heads (a
+    shorter string is its own head and never equals a window).  Either way
+    the same suffixes are looked up in the same ascending order, so every
+    cell is the same.
     """
     n = len(strings)
     order = sorted(range(n), key=strings.__getitem__)
     keys = sorted(strings)  # == [strings[j] for j in order]
     head = _HEAD
-    heads = {s[:head] for s in strings}
-    indexed = None
-    if sum(map(len, strings)) >= _INDEX_LETTERS:
-        indexed = _head_hits(strings, strings)
-    if indexed is not None:
-        rows, starts = indexed[:2]
+    hits = _head_hits(strings, strings)
+    if hits is None:
+        heads = {s[:head] for s in strings}
+    else:
+        rows, starts = hits[:2]
         done = 0  # hits of the rows before this one
     w = np.zeros((n, n), dtype=np.int64)
     for i, u in enumerate(strings):
@@ -369,20 +377,18 @@ def overlap_matrix(strings: Sequence[str]) -> WeightMatrix:
             raise ValueError("empty text")
         row = w[i]
         m = len(u)
-        ks = range(1, m + 1)
-        if indexed is not None:
+        ats = range(m - 1, -1, -1)  # every suffix, shortest first
+        if hits is not None:
             first, done = done, bisect_right(rows, i, done)
-            ks = [*range(1, min(m, head - 1) + 1),
-                  *[m - at for at in reversed(starts[first:done])]]
-        for k in ks:
-            at = m - k
-            if k >= head and u[at:at + head] not in heads:
-                continue
+            ats = [*ats[:head - 1], *starts[first:done][::-1]]
+        elif m > head:
+            ats = [at for at in ats if at > m - head or u[at:at + head] in heads]
+        for at in ats:
             p = u[at:]
-            lo = (bisect_right if k == m else bisect_left)(keys, p)
+            lo = (bisect_left if at else bisect_right)(keys, p)
             if lo < n and keys[lo].startswith(p):
                 nxt = _successor(p)
-                row[lo:n if nxt is None else bisect_left(keys, nxt, lo)] = k
+                row[lo:n if nxt is None else bisect_left(keys, nxt, lo)] = m - at
     # columns back from sorted to input order (argsort of order is its inverse)
     return WeightMatrix(w.take(sorted(range(n), key=order.__getitem__), axis=1))
 
@@ -450,10 +456,9 @@ linear_sum_assignment = _assignment_solver()
 
 def _assignment_cover(m: WeightMatrix, w: np.ndarray, maximize: bool) -> CycleCover:
     """The cover that the assignment solver picks on ``w``, weighed by ``m``."""
+    # on a square matrix, rows is arange(n): cols is the permutation
     rows, cols = linear_sum_assignment(w, maximize=maximize)
-    perm = tuple(int(cols[i]) for i in np.argsort(rows))
-    total = int(m.w[np.arange(m.n), list(perm)].sum())
-    return CycleCover(perm=perm, total_weight=total)
+    return CycleCover(perm=tuple(cols.tolist()), total_weight=int(m.w[rows, cols].sum()))
 
 
 def min_cycle_cover(m: WeightMatrix) -> CycleCover:

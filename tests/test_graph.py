@@ -1,6 +1,7 @@
 import contextlib
 import importlib.machinery
 import importlib.util
+import itertools
 import os
 import random
 import subprocess
@@ -303,7 +304,8 @@ def test_index_finds_first_occurrences_like_find(keys, case):
 
 
 @pytest.mark.parametrize("letter", ["a", "\0", "\x7f"])
-def test_index_hits_are_every_window_equal_to_a_head(letter):
+def test_index_hits_are_every_window_equal_to_a_head(monkeypatch, letter):
+    monkeypatch.setattr(graph, "_INDEX_LETTERS", 0)
     texts = ["xxabcdefghabcdefgh", "abcdefg", "\0abcdefgh\0", "ghabcdef" * 2]
     strings = ["abcdefghij", "abcdefgh", "short", "\0abcdefg", "habcdefg"]
     texts, strings = ([s.replace("a", letter) for s in ss] for ss in (texts, strings))
@@ -349,15 +351,34 @@ def test_a_long_run_of_one_head_gives_the_index_up():
 
 def test_small_inputs_skip_the_index(monkeypatch):
     def forbidden(*args):
-        raise AssertionError("the head index ran on a small input")
+        raise AssertionError("the head index was built on a small input")
 
-    monkeypatch.setattr(graph, "_head_hits", forbidden)
+    monkeypatch.setattr(graph, "_window_keys", forbidden)
     strings = ["ab" * 60, "ba" * 60 + "c", "abc" * 40]  # 481 letters
     assert sum(map(len, strings)) < graph._INDEX_LETTERS
     assert graph._first_containers(strings) == scanned_first_containers(strings)
     overlap_matrix(strings)
     text = "".join(strings)
     assert graph.first_occurrences(text, strings) == [text.find(s) for s in strings]
+
+
+def test_strings_without_a_head_skip_the_index():
+    # every string of 4-7 letters over ``ab`` is shorter than a head
+    words = ["".join(w) for k in range(4, graph._HEAD)
+             for w in itertools.product("ab", repeat=k)]
+    strings = random.Random(7).sample(words, 200)
+    text = "".join(strings)
+    assert sum(map(len, strings)) >= graph._INDEX_LETTERS
+    assert graph._head_hits(strings, strings) is None
+    assert graph._head_hits([text], strings) is None
+    assert graph._first_containers(strings) == [
+        next((j for j, t in enumerate(strings) if i != j and brute.is_substring(s, t)), None)
+        for i, s in enumerate(strings)]
+    assert graph.first_occurrences(text, strings) == [
+        next((at for at in range(len(text)) if text[at:at + len(s)] == s), -1)
+        for s in strings]
+    assert overlap_matrix(strings).w.tolist() == [
+        [len(brute.overlap(u, v)) for v in strings] for u in strings]
 
 
 def test_equal_instances_each_compute_their_own_reduction(monkeypatch):
