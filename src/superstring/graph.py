@@ -26,12 +26,12 @@ so:
 - ``first_occurrences`` finds a string in a text at the first start of
   its head where the string follows (the pipeline's final check and its
   representatives' windows);
-- ``overlap_matrix`` looks up a suffix of 8 letters or more only where it
-  starts with a head.
+- ``overlap_matrix`` finds an overlap of 8 letters or more only at a hit
+  in its row: the suffix from there on starts with a head.
 
 ``_first_hits`` confirms each hit for the first two with ``startswith``
 and finds the strings shorter than 8 letters with ``find``;
-``overlap_matrix`` confirms its hits by the lookups it makes anyway, so no
+``overlap_matrix`` confirms each of its hits with ``startswith`` too, so no
 answer depends on the keys.
 
 ``_head_hits`` alone decides where the index runs.  It returns None, and
@@ -41,25 +41,32 @@ each consumer runs its own direct scan instead, when
   building the index costs more than the scans it replaces;
 - no string has 8 letters, so no string has a head;
 - a text or a head is not ASCII (the CLI reads only ASCII);
-- the hits name more than a ``budget`` of (hit, string) pairs, each to be
-  confirmed in Python, as on long runs of one repeated head (a
+- the hits may name more than a ``budget`` of (hit, string) pairs, each to
+  be confirmed in Python, as on long runs of one repeated head (a
   homopolymer), where every window is a hit of every string that starts
-  with it.  The first two consumers pass N^2 for N strings, the cost of
-  their direct scans.
+  with it.  The bound counts, for each window, the heads in its slot of
+  the hash table, before any hit is looked up.  The first two consumers
+  pass N^2 for N strings, the cost of their direct scans; ``overlap_matrix``
+  passes its count of letters, one window test each in its direct scan.
 
-The overlap matrix comes from one sorted prefix index instead of per-pair
-scans, in the spirit of Gusfield, Landau & Schieber's all-pairs
-suffix-prefix algorithm (IPL 1992).  In the sorted list, the strings that
-start with a given ``p`` form one contiguous run, bounded by bisecting for
-``p`` and for the least string above every extension of ``p``.  A suffix
-is looked up at most once and its length written onto its whole run with
-one slice fill.  A lookup costs a slice and two bisections, O(k log N)
-character comparisons in C for a suffix of length k; the fills cost the
-cells of the runs, written by numpy (at most N per suffix; on random text
-the runs shrink geometrically with k).  The suffixes a row looks up are
-its 7 shortest and those that start with a head: the head index's hits in
-the row, or, where the index does not run, the windows found in a set of
-the heads.
+The overlap matrix takes two routes, both in the spirit of Gusfield,
+Landau & Schieber's all-pairs suffix-prefix algorithm (IPL 1992): one pass
+over shared keys instead of per-pair scans.  Through the head index, an
+overlap of fewer than 8 letters depends only on the row's last 7 letters
+and the column's first 7, so numpy decides all of them at once by
+comparing those keys, one plane per overlap length; a longer overlap
+starts at a hit, and ``startswith`` confirms each of the hit's strings.
+
+The direct route (small or non-ASCII input) works from one sorted prefix
+index.  In the sorted list, the strings that start with a given ``p`` form
+one contiguous run, bounded by bisecting for ``p`` and for the least
+string above every extension of ``p``.  A suffix is looked up at most once
+and its length written onto its whole run with one slice fill.  A lookup
+costs a slice and two bisections, O(k log N) character comparisons in C
+for a suffix of length k; the fills cost the cells of the runs, written by
+numpy (at most N per suffix; on random text the runs shrink geometrically
+with k).  The suffixes a row looks up are its 7 shortest and those whose
+first 8 letters are in the set of the heads.
 
 Cycle covers are computed exactly with scipy's assignment solver,
 ``linear_sum_assignment`` (Crouse, IEEE TAES 2016).  It is the only scipy
@@ -194,17 +201,21 @@ def _head_hits(texts: Sequence[str], strings: Sequence[str],
     # a table of 16 to 32 slots per head, addressed by the top bits of a
     # multiplicative hash, leaves few windows to search for among the heads
     bits = 4 + len(heads).bit_length()
-    slots = np.zeros(1 << bits, dtype=bool)
-    slots[_slot(head_keys, bits)] = True
-    hit = np.flatnonzero(slots[_slot(windows, bits)])
+    per_slot = np.bincount(_slot(head_keys, bits), minlength=1 << bits).astype(
+        np.min_scalar_type(len(heads)))
+    hit = np.flatnonzero(per_slot.astype(bool)[_slot(windows, bits)])
+    # the heads in a window's slot bound its (hit, string) pairs: the
+    # fullest slot bounds them all at once, and failing that, their sum over
+    # the windows; windows across two texts count too: they can only give
+    # the index up
+    if (budget is not None and len(hit) * int(per_slot.max()) > budget
+            and int(per_slot[_slot(windows, bits)].sum()) > budget):
+        return None
     key = windows[hit]
     first = head_keys.searchsorted(key)
     found = head_keys.take(first, mode="clip") == key
     hit, first = hit[found], first[found]
     last = head_keys.searchsorted(key[found], side="right")
-    # windows across two texts count too: they can only give the index up
-    if budget is not None and int((last - first).sum()) > budget:
-        return None
     if len(texts) == 1:
         text = [0] * len(hit)
     else:
@@ -344,46 +355,112 @@ def _successor(p: str) -> str | None:
     return p[:-1] + chr(ord(p[-1]) + 1) if p else None
 
 
+def _short_overlaps(strings: Sequence[str]) -> np.ndarray:
+    """For each ordered pair of the nonempty ASCII ``strings``, its longest
+    overlap of fewer than ``_HEAD`` letters, or 0, as a uint8 matrix.
+
+    An overlap of ``k`` letters depends only on the row's last ``k``
+    letters and the column's first ``k``, so one broadcast compare of those
+    keys decides every cell at every ``k``, and each cell takes its largest
+    ``k``.
+    """
+    n = len(strings)
+    # each string's last 7 letters after \x80 pads and its first 7 before
+    # \xff pads, 8 bytes read as one little-endian integer: its last k
+    # letters are its top k bytes, and its first k letters its low k bytes.
+    # A pad equals no ASCII letter and no other pad, so a string of fewer
+    # than k letters matches nothing at k
+    ends = np.frombuffer("".join([s[1 - _HEAD:].rjust(_HEAD, "\x80") for s in strings])
+                         .encode("latin-1"), dtype="<u8")
+    fronts = np.frombuffer("".join([s[:_HEAD - 1].ljust(_HEAD, "\xff") for s in strings])
+                           .encode("latin-1"), dtype="<u8")
+    shift = np.array([8 * (_HEAD - k) for k in range(1, _HEAD)], dtype=np.uint64)[:, None]
+    # keys[k - 1] holds each row's last k letters, then each column's first k
+    keys = np.concatenate([ends >> shift, (fronts << shift) >> shift], axis=1)
+    # the same keys as their first places in the sorted keys, in the
+    # narrowest integers that hold them, which numpy compares fastest; the
+    # sort is the stable argsort of _head_hits, as np.sort would page in a
+    # second sort routine (about 128 KB resident per process)
+    flat = keys.ravel()
+    keys = flat[flat.argsort(kind="stable")].searchsorted(keys).astype(
+        np.min_scalar_type(keys.size))
+    # match[k - 1, i, j]: the last k letters of row i start column j
+    match = np.equal(keys[:, :n, None], keys[:, None, n:])
+    # two strings of k letters match at k only when equal, and there the
+    # overlap is the border instead
+    copies: dict[int, list[int]] = {}
+    for i, s in enumerate(strings):
+        if len(s) < _HEAD:
+            copies.setdefault(len(s), []).append(i)
+    for k, group in copies.items():
+        match[k - 1][np.ix_(group, group)] = False
+    lengths = match.view(np.uint8)
+    lengths *= np.arange(1, _HEAD, dtype=np.uint8)[:, None, None]
+    return lengths.max(axis=0)
+
+
+def _indexed_overlaps(strings: Sequence[str], hits: tuple[list[int], ...]) -> np.ndarray:
+    """The overlap matrix of ``strings`` through their head index ``hits``
+    over themselves, in input order.
+
+    ``_short_overlaps`` gives the overlaps of fewer than ``_HEAD`` letters.
+    A longer one starts at a hit ``(i, at)``: string ``j`` of the hit
+    overlaps row ``u = strings[i]`` by ``|u| - at`` letters when it starts
+    with ``u[at:]`` and is not a copy of ``u``.
+    """
+    if not all(strings):
+        raise ValueError("empty text")
+    n = len(strings)
+    # a function of its own, so its compare planes are freed before the
+    # int64 matrix is allocated
+    w = _short_overlaps(strings).astype(np.int64)
+    # a row's hits ascend by start, so the first one to confirm a cell is
+    # its longest overlap
+    longest: dict[int, int] = {}
+    text, start, first, last, heads = hits
+    for i, at, a, b in zip(text, start, first, last):
+        u = strings[i]
+        p = u[at:]
+        for j in heads[a:b]:
+            v = strings[j]
+            if v.startswith(p) and (at or len(v) > len(u)):  # at 0, not a copy of u
+                longest.setdefault(i * n + j, len(p))
+    w.put([*longest], [*longest.values()])
+    return w
+
+
 def overlap_matrix(strings: Sequence[str]) -> WeightMatrix:
     """All-pairs ``w[i, j] = words.overlap_len(strings[i], strings[j])``.
 
     Equal strings, the diagonal included, get the longest proper border.
-    Works from one sorted copy of the strings (see the module docstring):
-    each suffix ``u[-k:]`` of row ``u`` writes ``k`` onto the run of sorted
-    strings that start with it, in ascending ``k`` so the longest overlap
-    is written last.  At ``k = |u|`` the run skips the copies of ``u``.
-
-    A suffix of ``_HEAD`` letters or more can start a string only where it
-    starts with a head.  A row's candidates are its 7 shortest suffixes,
-    then the head index's hits in it, or, where the index does not apply,
-    the windows of ``_HEAD`` letters found in the set of the heads (a
-    shorter string is its own head and never equals a window).  Either way
-    the same suffixes are looked up in the same ascending order, so every
-    cell is the same.
+    Through ``_indexed_overlaps`` where ``_head_hits`` gives the head index,
+    on a budget of one (hit, string) pair per letter.  Otherwise from one
+    sorted copy of the strings (see the module docstring): each suffix
+    ``u[-k:]`` of row ``u`` writes ``k`` onto the run of sorted strings that
+    start with it, in ascending ``k`` so the longest overlap is written
+    last.  At ``k = |u|`` the run skips the copies of ``u``.  A suffix of
+    ``_HEAD`` letters or more can start a string only where it starts with
+    a head, so it is looked up only where its first ``_HEAD`` letters are
+    in the set of the heads (a shorter string is its own head and never
+    equals a window).
     """
+    hits = _head_hits(strings, strings, sum(map(len, strings)))
+    if hits is not None:
+        return WeightMatrix(_indexed_overlaps(strings, hits))
     n = len(strings)
     order = sorted(range(n), key=strings.__getitem__)
     keys = sorted(strings)  # == [strings[j] for j in order]
     head = _HEAD
-    hits = _head_hits(strings, strings)
-    if hits is None:
-        heads = {s[:head] for s in strings}
-    else:
-        rows, starts = hits[:2]
-        done = 0  # hits of the rows before this one
+    heads = {s[:head] for s in strings}
     w = np.zeros((n, n), dtype=np.int64)
     for i, u in enumerate(strings):
         if not u:
             raise ValueError("empty text")
         row = w[i]
         m = len(u)
-        ats = range(m - 1, -1, -1)  # every suffix, shortest first
-        if hits is not None:
-            first, done = done, bisect_right(rows, i, done)
-            ats = [*ats[:head - 1], *starts[first:done][::-1]]
-        elif m > head:
-            ats = [at for at in ats if at > m - head or u[at:at + head] in heads]
-        for at in ats:
+        for at in range(m - 1, -1, -1):  # every suffix, shortest first
+            if at <= m - head and u[at:at + head] not in heads:
+                continue
             p = u[at:]
             lo = (bisect_left if at else bisect_right)(keys, p)
             if lo < n and keys[lo].startswith(p):

@@ -293,6 +293,58 @@ def test_index_gives_the_overlap_matrix_of_a_scan(keys, strings):
         assert overlap_matrix(strings).w.tolist() == expected
 
 
+@st.composite
+def ascii_families(draw):
+    """ASCII string lists for the head index's overlap matrix: strings of 1
+    to 12 letters, across the head's 8, over alphabets with NUL, and
+    copies, prefixes and suffixes of one another."""
+    alphabet = draw(st.sampled_from(["ab", "\0a", "\0ab", "ACGT"]))
+    base = draw(st.lists(st.text(alphabet, min_size=1, max_size=12),
+                         min_size=1, max_size=8))
+    out = list(base)
+    for idx, how, k in draw(st.lists(
+            st.tuples(st.integers(0, len(base) - 1),
+                      st.sampled_from(["copy", "prefix", "suffix"]),
+                      st.integers(1, 12)),
+            max_size=6)):
+        s = base[idx]
+        out.append({"copy": s, "prefix": s[:k], "suffix": s[-k:]}[how])
+    return draw(st.permutations(out))
+
+
+@given(ascii_families())
+@settings(max_examples=300, deadline=None)
+def test_index_overlap_matrix_matches_brute_force_on_short_strings(strings):
+    expected = [[len(brute.overlap(u, v)) for v in strings] for u in strings]
+    with head_index("real"):
+        assert overlap_matrix(strings).w.tolist() == expected
+
+
+def reads_instance(rng, n):
+    """Reads of 80-120 letters cut at about 4x coverage from three random
+    ACGT chromosomes, drawn until exactly ``n`` survive normalization: the
+    benchmark's ``reads`` instances."""
+    chrom_len = n * 100 // 4 // 3
+    chroms = ["".join(rng.choice("ACGT") for _ in range(chrom_len)) for _ in range(3)]
+    reads, survivors = [], []
+    while len(survivors) < n:
+        chrom = rng.choice(chroms)
+        length = rng.randint(80, 120)
+        start = rng.randint(0, chrom_len - length)
+        read = chrom[start:start + length]
+        reads.append(read)
+        if not any(read in s for s in survivors):
+            survivors = [s for s in survivors if s not in read] + [read]
+    return reads
+
+
+def test_overlap_matrix_on_300_reads():
+    reads = normalize(reads_instance(random.Random("reads:1"), 300))[0].strings
+    assert len(reads) == 300 and sum(map(len, reads)) >= graph._INDEX_LETTERS
+    assert overlap_matrix(reads).w.tolist() == [
+        [overlap_len(u, v) for v in reads] for u in reads]
+
+
 @pytest.mark.parametrize("keys", ["real", "constant"])
 @given(case=texts_with_strings())
 @settings(max_examples=100, deadline=None)
@@ -347,6 +399,8 @@ def test_a_long_run_of_one_head_gives_the_index_up():
     assert graph._first_containers(strings) == [*range(1, n), None]
     text = "b" * 1000 + strings[-1]
     assert graph.first_occurrences(text, strings) == [1000] * n
+    assert overlap_matrix(strings).w.tolist() == [
+        [min(len(u), len(v)) - (u == v) for v in strings] for u in strings]
 
 
 def test_small_inputs_skip_the_index(monkeypatch):
