@@ -36,9 +36,8 @@ from .graph import (
     Instance,
     max_cycle_cover,
     normalize,
-    overlap_matrix,
 )
-from .pipeline import representatives
+from .pipeline import representative_overlap, representatives
 from .words import NiceWord, RotationKind
 
 
@@ -540,7 +539,7 @@ def pipeline_cycle_fuzz(trials: int, seed: int, *, start: int = 0) -> CampaignRe
         result.cases += 1
         if len(reps) < 2:
             continue
-        cover = max_cycle_cover(overlap_matrix([r.text for r in reps]))
+        cover = max_cycle_cover(representative_overlap(inst))
         for cyc in cover.cycles:
             chosen = [reps[i] for i in cyc]
             if any(r.nice.degenerate for r in chosen):

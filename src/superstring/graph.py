@@ -111,7 +111,10 @@ class Instance:
 
     ``overlap`` and ``cover`` are the instance's reduction, each computed on
     first use and kept on this object only: two equal instances compute
-    their own, and equality and hashing see ``strings`` alone.
+    their own, and equality and hashing see ``strings`` alone.  The
+    pipeline keeps the rest of the reduction (the representatives, their
+    overlap matrix and each checked text's first occurrences) on the object
+    by the same rule.
     """
 
     strings: tuple[str, ...]

@@ -15,8 +15,17 @@ The main route reduces the instance to a small set of *representatives*:
 ``greedy_superstring`` and ``exact_superstring`` are the classic baselines.
 All of them read the instance's overlap matrix and cover (``Instance.overlap``,
 ``Instance.cover``), which each instance computes once, and return through
-``_solution``, which checks the text against every instance string.  The
-pipeline's string searches, that check and each representative's search
+``_solution``, which checks the text against every instance string.
+
+The rest of the reduction is also computed once per instance object and
+kept on that object only, the way ``Instance`` keeps its matrix and cover:
+``representatives`` builds the representatives on its first call, and
+``representative_overlap`` builds their overlap matrix on first use only
+(a single representative needs none), so s1, s2 and the
+``bounds.pipeline_cycle_fuzz`` campaign share one reduction.  ``_solution``
+checks each distinct text once per instance, so s1 and s2 returning the
+same text check it once.  Nothing is shared between two equal instances.
+The pipeline's string searches, that check and each representative's search
 for its members, are first occurrences from ``graph.first_occurrences``,
 which goes through the head index on long ASCII texts (see ``graph``).
 ``solve_each`` runs the ``ALGORITHMS`` by name and holds the run rules (s1
@@ -35,7 +44,8 @@ import numpy as np
 
 from . import words
 from .atsp import DEFAULT_EXACT_LIMIT, SolverTag, int_table_type, max_path
-from .graph import Instance, first_occurrences, overlap_matrix, path_overlaps
+from .graph import (Instance, WeightMatrix, first_occurrences, overlap_matrix,
+                    path_overlaps)
 
 
 @dataclass(frozen=True)
@@ -81,14 +91,30 @@ def _merge_texts(texts: Sequence[str], overlaps: Sequence[int]) -> str:
     return "".join(out)
 
 
+def _kept(inst: Instance, name: str, build):
+    """``build()``, made on the first call for this instance object and kept
+    in its ``__dict__`` under ``name``, as ``cached_property`` keeps
+    ``Instance.overlap``: freed with the object, never shared with an equal
+    instance."""
+    kept = vars(inst)
+    if name not in kept:
+        kept[name] = build()
+    return kept[name]
+
+
 def _solution(inst: Instance, text: str, algorithm: str, order=None) -> Solution:
-    """``text`` as a Solution: each instance string is found in it once, a
-    miss raises AssertionError, and ``order`` defaults to the strings' order
-    of first appearance.  The search is ``graph.first_occurrences``, through
-    the head index on a long ASCII text."""
-    pos = first_occurrences(text, inst.strings)
-    if min(pos) < 0:
-        raise AssertionError("pipeline output lost an input string")
+    """``text`` as a Solution: each instance string is found in it, a miss
+    raises AssertionError, and ``order`` defaults to the strings' order of
+    first appearance.  The search is ``graph.first_occurrences``, through
+    the head index on a long ASCII text; it runs once per distinct text per
+    instance, and only a text that passed is kept."""
+    checked = _kept(inst, "_checked_texts", dict)
+    pos = checked.get(text)
+    if pos is None:
+        pos = first_occurrences(text, inst.strings)
+        if min(pos) < 0:
+            raise AssertionError("pipeline output lost an input string")
+        checked[text] = pos
     if order is None:
         order = sorted(range(len(pos)), key=pos.__getitem__)
     return Solution(order=tuple(order), text=text,
@@ -131,9 +157,28 @@ def representative(inst: Instance, cycle: Sequence[int]) -> Representative:
                           members=tuple(cycle))
 
 
+def _representatives(inst: Instance) -> list[Representative]:
+    # representatives' body, which representative_overlap reads too, so a
+    # wrapper of representatives sees only the calls made by solvers
+    return _kept(inst, "_representatives",
+                 lambda: [representative(inst, cyc) for cyc in inst.cover.cycles])
+
+
 def representatives(inst: Instance) -> list[Representative]:
-    """Representatives of all cycles of an exact minimum prefix-graph cover."""
-    return [representative(inst, cyc) for cyc in inst.cover.cycles]
+    """Representatives of all cycles of an exact minimum prefix-graph cover,
+    built on the first call for ``inst``; later calls return the same list,
+    which no caller changes."""
+    return _representatives(inst)
+
+
+def representative_overlap(inst: Instance) -> WeightMatrix:
+    """The overlap matrix of the representative texts of ``inst``, in
+    ``representatives`` order, built on first use and then kept (read-only)."""
+    def build():
+        m = overlap_matrix([r.text for r in _representatives(inst)])
+        m.w.flags.writeable = False
+        return m
+    return _kept(inst, "_representative_overlap", build)
 
 
 def solve_s1(inst: Instance, path_solver: SolverTag = SolverTag.EXACT,
@@ -144,7 +189,7 @@ def solve_s1(inst: Instance, path_solver: SolverTag = SolverTag.EXACT,
     if len(reps) == 1:
         text = reps[0].text
     else:
-        m = overlap_matrix([r.text for r in reps])
+        m = representative_overlap(inst)
         order = max_path(m, path_solver, limit).order
         text = _merge_texts([reps[i].text for i in order], path_overlaps(m, order))
     return _solution(inst, text, f"s1[{path_solver.value}]")

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import brute
-from superstring import atsp, cli, graph, pipeline, words
+from superstring import atsp, bounds, cli, graph, pipeline, words
 from superstring.atsp import DEFAULT_EXACT_LIMIT, SolverLimitError, SolverTag, exact_max_path
 from superstring.graph import DegenerateInstanceError, Instance, normalize, path_overlaps
 from superstring.pipeline import (
@@ -287,7 +287,7 @@ def test_solve_combined_reduces_the_instance_once(monkeypatch):
     sol = solve_combined(inst)
     assert validate_superstring(inst, sol.text)
     assert matrices.count(TWO_CYCLES) == 1
-    assert len(matrices) == 3  # and one per s1/s2 over the two representatives
+    assert len(matrices) == 2  # and one over the two representatives
     assert len(covers) == 1
 
 
@@ -360,7 +360,7 @@ def test_compare_reduces_the_instance_once(tmp_path, monkeypatch, capsys):
     rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]]
     assert rows == ["combined", "s1", "s2", "greedy", "exact"]
     assert matrices.count(TWO_CYCLES) == 1
-    assert len(matrices) == 3  # and one per s1/s2 run over the representatives
+    assert len(matrices) == 2  # and one over the representatives, shared
     assert len(covers) == 1
     # s1 and s2 run once each, and the combined row is built from those runs
     assert len(reductions) == 2
@@ -369,6 +369,73 @@ def test_compare_reduces_the_instance_once(tmp_path, monkeypatch, capsys):
     assert cli.main(["solve", str(path)]) == 0
     assert len(reductions) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("tag", list(SolverTag), ids=lambda tag: tag.value)
+def test_each_cover_cycle_gets_one_representative_per_command(
+        tmp_path, monkeypatch, capsys, tag):
+    path = tmp_path / "inst.txt"
+    path.write_text("\n".join(TWO_CYCLES) + "\n", encoding="utf-8")
+    cycles = len(inst_of(*TWO_CYCLES).cover.cycles)
+    assert cycles == 2
+    built = record_calls(monkeypatch, pipeline, "representative")
+    for command in ("solve", "compare"):
+        built.clear()
+        assert cli.main([command, str(path), "--path-solver", tag.value]) == 0
+        assert len(built) == cycles, command
+    built.clear()
+    solve_combined(inst_of(*TWO_CYCLES), tag)
+    assert len(built) == cycles
+    capsys.readouterr()
+
+
+def test_solve_checks_each_distinct_text_once(monkeypatch):
+    inst = inst_of(*TWO_CYCLES)
+    checks = []
+    search = pipeline.first_occurrences
+
+    def recorded(text, strings):
+        if tuple(strings) == inst.strings:
+            checks.append(text)
+        return search(text, strings)
+
+    monkeypatch.setattr(pipeline, "first_occurrences", recorded)
+    texts = [sol.text for _, sol, _ in pipeline.solve_each(inst, pipeline.ALGORITHMS)]
+    assert sorted(checks) == sorted(set(texts))
+    # combined is s1's run, and greedy and exact return one text here
+    assert len(checks) == 3
+
+
+def test_equal_instances_do_not_share_a_reduction(monkeypatch):
+    first, second = inst_of(*TWO_CYCLES), inst_of(*TWO_CYCLES)
+    assert first == second and hash(first) == hash(second)
+    built = record_calls(monkeypatch, pipeline, "representative")
+    matrices = record_calls(monkeypatch, graph, "overlap_matrix")
+    sols = [solve_combined(first), solve_combined(second), solve_combined(first)]
+    assert sols[0] == sols[1] == sols[2]
+    # each object builds its own matrix, cover cycles' representatives and
+    # representative matrix, and keeps them for its next solve
+    assert len(built) == 2 * len(first.cover.cycles)
+    assert [len(m) for m in matrices] == [len(TWO_CYCLES), 2] * 2
+    assert representatives(first) is representatives(first)
+    assert representatives(first) == representatives(second)
+    assert representatives(first) is not representatives(second)
+    assert (pipeline.representative_overlap(first)
+            is not pipeline.representative_overlap(second))
+
+
+def test_pipeline_cycle_fuzz_reads_the_matrix_solve_s1_reads(monkeypatch):
+    insts = record_calls(monkeypatch, pipeline, "representatives")
+    covered = record_calls(monkeypatch, graph, "max_cycle_cover")
+    bounds.pipeline_cycle_fuzz(40, seed=3)
+    multi = [inst for inst in insts if len(inst.cover.cycles) > 1]
+    assert len(multi) == len(covered) > 5
+    paths = record_calls(monkeypatch, atsp, "max_path")
+    matrices = record_calls(monkeypatch, graph, "overlap_matrix")
+    for inst in multi:
+        solve_s1(inst)
+    assert all(m is c for m, c in zip(paths, covered, strict=True))
+    assert matrices == []  # the campaign built every one of them
 
 
 def test_half_path_solver_reduces_the_instance_once(tmp_path, monkeypatch, capsys):
