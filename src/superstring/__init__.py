@@ -52,7 +52,6 @@ from .pipeline import (
     solve_combined,
     solve_s1,
     solve_s2,
-    validate_superstring,
 )
 from .words import (
     NiceWord,

@@ -29,13 +29,19 @@ so:
 - ``overlap_matrix`` finds an overlap of 8 letters or more only at a hit
   in its row: the suffix from there on starts with a head.
 
-``_first_hits`` confirms each hit for the first two with ``startswith``
-and finds the strings shorter than 8 letters with ``find``;
-``overlap_matrix`` confirms each of its hits with ``startswith`` too, so no
-answer depends on the keys.
+``_first_hits`` answers the first two: it confirms each hit with
+``startswith`` and scans for the strings shorter than 8 letters with ``in``
+(and ``find``, where the caller wants starts).  Without an index, the same
+``in`` scan runs over every string for ``_first_containers``, and
+``first_occurrences`` calls ``find`` for each.  ``overlap_matrix``
+confirms each of its hits with ``startswith`` too, so no answer depends on
+the keys.  It refuses an empty string once, before either route runs, and
+returns its matrix read-only, so a matrix kept for reuse
+(``Instance.overlap``, the pipeline's representative matrix) needs no step
+of its own.
 
 ``_head_hits`` alone decides where the index runs.  It returns None, and
-each consumer runs its own direct scan instead, when
+each consumer takes its direct route instead, when
 
 - the texts hold fewer than ``_INDEX_LETTERS`` letters in all, where
   building the index costs more than the scans it replaces;
@@ -137,9 +143,7 @@ class Instance:
     @cached_property
     def overlap(self) -> WeightMatrix:
         """The overlap matrix, shared by every solver (read-only)."""
-        m = overlap_matrix(self.strings)
-        m.w.flags.writeable = False
-        return m
+        return overlap_matrix(self.strings)
 
     @cached_property
     def cover(self) -> CycleCover:
@@ -234,30 +238,37 @@ def _head_hits(texts: Sequence[str], strings: Sequence[str],
 
 
 def _first_hits(texts: Sequence[str], strings: Sequence[str],
-                hits: tuple[list[int], ...], own: bool) -> tuple[list[int | None], list[int]]:
+                hits: tuple[list[int], ...] | None, own: bool
+                ) -> tuple[list[int | None], list[int]]:
     """For each string, the first text that holds it and its first start
-    there, through the head index ``hits`` of ``strings`` over ``texts``:
-    the lists ``(text, start)``, None and -1 where no text does.
+    there: the lists ``(text, start)``, None and -1 where no text does.
 
-    A string of ``_HEAD`` letters or more occurs only at a hit of its head,
-    where ``startswith`` confirms it; the hits ascend by text, then start,
-    so the first one confirmed is the answer, and the search stops once
-    every such string is found.  A shorter string is found by ``find``.
-    ``own`` says that ``texts`` are ``strings``: string ``i`` is then not
-    looked for in ``texts[i]``, and a hit where the string would run past
-    its text's end is skipped without a call, as most hits of one string
-    in another are, where the two only overlap.
+    ``hits`` is the head index of ``strings`` over ``texts``, or None, and
+    then every string is scanned for with ``in``, text by text; with an
+    index, only the strings shorter than ``_HEAD`` are.  A string of
+    ``_HEAD`` letters or more occurs only at a hit of its head, where
+    ``startswith`` confirms it; the hits ascend by text, then start, so the
+    first one confirmed is the answer, and the search stops once every such
+    string is found; the scan takes a string's start by ``find``.  ``own``
+    says that ``texts`` are ``strings`` and that only the texts are wanted:
+    string ``i`` is then not looked for in ``texts[i]``, the scan leaves
+    the starts at -1, and a hit where the string would run past its text's
+    end is skipped without a call, as most hits of one string in another
+    are, where the two only overlap.
     """
     where = [None] * len(strings)
     pos = [-1] * len(strings)
+    for i, s in enumerate(strings):
+        if hits is None or len(s) < _HEAD:
+            for j, t in enumerate(texts):
+                if s in t and (i != j or not own):
+                    where[i] = j
+                    if not own:
+                        pos[i] = t.find(s)
+                    break
+    if hits is None:
+        return where, pos
     text, start, first, last, heads = hits
-    if len(heads) < len(strings):
-        for i, s in enumerate(strings):
-            if len(s) < _HEAD:
-                for j, t in enumerate(texts):
-                    if not (own and i == j) and (at := t.find(s)) >= 0:
-                        where[i], pos[i] = j, at
-                        break
     lengths = [*map(len, strings)]
     pending = len(heads)
     for j, at, a, b in zip(text, start, first, last):
@@ -276,22 +287,12 @@ def _first_containers(strings: Sequence[str]) -> list[int | None]:
     """For each string, the index of the first other string that contains
     it, or None: the substring-free rule of ``normalize`` and ``Instance``.
 
-    Through the head index where ``_head_hits`` gives one, on a budget of
-    N^2 (hit, string) pairs for N strings; otherwise a direct ``s in t``
-    scan.
+    ``_first_hits``, through the head index where ``_head_hits`` gives one
+    on a budget of N^2 (hit, string) pairs for N strings, and otherwise by
+    its direct scan.
     """
-    hits = _head_hits(strings, strings, len(strings) ** 2)
-    if hits is not None:
-        return _first_hits(strings, strings, hits, True)[0]
-    found = []
-    for i, s in enumerate(strings):
-        for j, t in enumerate(strings):
-            if s in t and i != j:
-                found.append(j)
-                break
-        else:
-            found.append(None)
-    return found
+    return _first_hits(strings, strings, _head_hits(strings, strings, len(strings) ** 2),
+                       True)[0]
 
 
 def first_occurrences(text: str, strings: Sequence[str]) -> list[int]:
@@ -402,75 +403,67 @@ def _short_overlaps(strings: Sequence[str]) -> np.ndarray:
     return lengths.max(axis=0)
 
 
-def _indexed_overlaps(strings: Sequence[str], hits: tuple[list[int], ...]) -> np.ndarray:
-    """The overlap matrix of ``strings`` through their head index ``hits``
-    over themselves, in input order.
+def overlap_matrix(strings: Sequence[str]) -> WeightMatrix:
+    """All-pairs ``w[i, j] = words.overlap_len(strings[i], strings[j])``,
+    returned read-only.
 
-    ``_short_overlaps`` gives the overlaps of fewer than ``_HEAD`` letters.
-    A longer one starts at a hit ``(i, at)``: string ``j`` of the hit
-    overlaps row ``u = strings[i]`` by ``|u| - at`` letters when it starts
-    with ``u[at:]`` and is not a copy of ``u``.
+    Equal strings, the diagonal included, get the longest proper border.
+    An empty string is refused before either route runs.  Through the head
+    index where ``_head_hits`` gives one, on a budget of one (hit, string)
+    pair per letter: ``_short_overlaps`` gives the overlaps of fewer than
+    ``_HEAD`` letters, and a longer one starts at a hit ``(i, at)``, where
+    string ``j`` of the hit overlaps row ``u = strings[i]`` by ``|u| - at``
+    letters when it starts with ``u[at:]`` and is not a copy of ``u``.
+    Otherwise from one sorted copy of the strings (see the module
+    docstring): each suffix ``u[-k:]`` of row ``u`` writes ``k`` onto the
+    run of sorted strings that start with it, in ascending ``k`` so the
+    longest overlap is written last.  At ``k = |u|`` the run skips the
+    copies of ``u``.  A suffix of ``_HEAD`` letters or more can start a
+    string only where it starts with a head, so it is looked up only where
+    its first ``_HEAD`` letters are in the set of the heads (a shorter
+    string is its own head and never equals a window).
     """
     if not all(strings):
         raise ValueError("empty text")
     n = len(strings)
-    # a function of its own, so its compare planes are freed before the
-    # int64 matrix is allocated
-    w = _short_overlaps(strings).astype(np.int64)
-    # a row's hits ascend by start, so the first one to confirm a cell is
-    # its longest overlap
-    longest: dict[int, int] = {}
-    text, start, first, last, heads = hits
-    for i, at, a, b in zip(text, start, first, last):
-        u = strings[i]
-        p = u[at:]
-        for j in heads[a:b]:
-            v = strings[j]
-            if v.startswith(p) and (at or len(v) > len(u)):  # at 0, not a copy of u
-                longest.setdefault(i * n + j, len(p))
-    w.put([*longest], [*longest.values()])
-    return w
-
-
-def overlap_matrix(strings: Sequence[str]) -> WeightMatrix:
-    """All-pairs ``w[i, j] = words.overlap_len(strings[i], strings[j])``.
-
-    Equal strings, the diagonal included, get the longest proper border.
-    Through ``_indexed_overlaps`` where ``_head_hits`` gives the head index,
-    on a budget of one (hit, string) pair per letter.  Otherwise from one
-    sorted copy of the strings (see the module docstring): each suffix
-    ``u[-k:]`` of row ``u`` writes ``k`` onto the run of sorted strings that
-    start with it, in ascending ``k`` so the longest overlap is written
-    last.  At ``k = |u|`` the run skips the copies of ``u``.  A suffix of
-    ``_HEAD`` letters or more can start a string only where it starts with
-    a head, so it is looked up only where its first ``_HEAD`` letters are
-    in the set of the heads (a shorter string is its own head and never
-    equals a window).
-    """
     hits = _head_hits(strings, strings, sum(map(len, strings)))
     if hits is not None:
-        return WeightMatrix(_indexed_overlaps(strings, hits))
-    n = len(strings)
-    order = sorted(range(n), key=strings.__getitem__)
-    keys = sorted(strings)  # == [strings[j] for j in order]
-    head = _HEAD
-    heads = {s[:head] for s in strings}
-    w = np.zeros((n, n), dtype=np.int64)
-    for i, u in enumerate(strings):
-        if not u:
-            raise ValueError("empty text")
-        row = w[i]
-        m = len(u)
-        for at in range(m - 1, -1, -1):  # every suffix, shortest first
-            if at <= m - head and u[at:at + head] not in heads:
-                continue
+        # a function of its own, so its compare planes are freed before the
+        # int64 matrix is allocated
+        w = _short_overlaps(strings).astype(np.int64)
+        # a row's hits ascend by start, so the first one to confirm a cell
+        # is its longest overlap
+        longest: dict[int, int] = {}
+        text, start, first, last, heads = hits
+        for i, at, a, b in zip(text, start, first, last):
+            u = strings[i]
             p = u[at:]
-            lo = (bisect_left if at else bisect_right)(keys, p)
-            if lo < n and keys[lo].startswith(p):
-                nxt = _successor(p)
-                row[lo:n if nxt is None else bisect_left(keys, nxt, lo)] = m - at
-    # columns back from sorted to input order (argsort of order is its inverse)
-    return WeightMatrix(w.take(sorted(range(n), key=order.__getitem__), axis=1))
+            for j in heads[a:b]:
+                v = strings[j]
+                if v.startswith(p) and (at or len(v) > len(u)):  # at 0, not a copy of u
+                    longest.setdefault(i * n + j, len(p))
+        w.put([*longest], [*longest.values()])
+    else:
+        order = sorted(range(n), key=strings.__getitem__)
+        keys = sorted(strings)  # == [strings[j] for j in order]
+        head = _HEAD
+        heads = {s[:head] for s in strings}
+        w = np.zeros((n, n), dtype=np.int64)
+        for i, u in enumerate(strings):
+            row = w[i]
+            m = len(u)
+            for at in range(m - 1, -1, -1):  # every suffix, shortest first
+                if at <= m - head and u[at:at + head] not in heads:
+                    continue
+                p = u[at:]
+                lo = (bisect_left if at else bisect_right)(keys, p)
+                if lo < n and keys[lo].startswith(p):
+                    nxt = _successor(p)
+                    row[lo:n if nxt is None else bisect_left(keys, nxt, lo)] = m - at
+        # columns back from sorted to input order (argsort of order is its inverse)
+        w = w.take(sorted(range(n), key=order.__getitem__), axis=1)
+    w.flags.writeable = False
+    return WeightMatrix(w)
 
 
 @dataclass(frozen=True)

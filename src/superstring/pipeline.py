@@ -174,11 +174,8 @@ def representatives(inst: Instance) -> list[Representative]:
 def representative_overlap(inst: Instance) -> WeightMatrix:
     """The overlap matrix of the representative texts of ``inst``, in
     ``representatives`` order, built on first use and then kept (read-only)."""
-    def build():
-        m = overlap_matrix([r.text for r in _representatives(inst)])
-        m.w.flags.writeable = False
-        return m
-    return _kept(inst, "_representative_overlap", build)
+    return _kept(inst, "_representative_overlap",
+                 lambda: overlap_matrix([r.text for r in _representatives(inst)]))
 
 
 def solve_s1(inst: Instance, path_solver: SolverTag = SolverTag.EXACT,
@@ -295,8 +292,3 @@ def solve_combined(inst: Instance, path_solver: SolverTag = SolverTag.EXACT,
                    limit: int = DEFAULT_EXACT_LIMIT) -> Solution:
     """The better of solve_s1 and solve_s2: ``solve_each``'s combined run."""
     return next(solve_each(inst, ("combined",), path_solver, limit))[1]
-
-
-def validate_superstring(inst: Instance, text: str) -> bool:
-    """True iff every instance string occurs in ``text``."""
-    return all(s in text for s in inst.strings)

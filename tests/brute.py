@@ -87,6 +87,11 @@ def is_substring(s, t):
     return any(t[k:k + len(s)] == s for k in range(len(t) - len(s) + 1))
 
 
+def validate_superstring(inst, text):
+    """True iff every instance string occurs in ``text``."""
+    return all(s in text for s in inst.strings)
+
+
 def normalize(raw):
     """(survivors, log) of the substring-free rule: the first copy of each
     string is kept unless another input contains it.  The log lists every

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import brute
+from brute import validate_superstring
 from superstring import cli
 from superstring.atsp import cycle_cover_path, exact_max_path, greedy_max_path
 from superstring.graph import WeightMatrix
@@ -36,7 +37,6 @@ from superstring.pipeline import (
     solve_combined,
     solve_s1,
     solve_s2,
-    validate_superstring,
 )
 from superstring.words import (
     longest_border,

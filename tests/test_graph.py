@@ -227,9 +227,37 @@ def test_overlap_matrix_on_read_like_representatives():
         [overlap_len(u, v) for v in texts] for u in texts]
 
 
+ROUTE_STRINGS = ["abcdefghij", "cdefghijkl", "ghijklmnab"]
+
+
+@contextlib.contextmanager
+def overlap_route(route):
+    """``overlap_matrix`` of ``ROUTE_STRINGS`` through the head index
+    (``index``, with ``graph._INDEX_LETTERS`` at 0) or the direct scan
+    (``direct``, at its default)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if route == "index":
+            mp.setattr(graph, "_INDEX_LETTERS", 0)
+        hits = graph._head_hits(ROUTE_STRINGS, ROUTE_STRINGS, sum(map(len, ROUTE_STRINGS)))
+        assert (hits is not None) == (route == "index")
+        yield
+
+
 def test_overlap_matrix_rejects_empty_string():
+    for route in ("index", "direct"):
+        with overlap_route(route), pytest.raises(ValueError, match="^empty text$"):
+            overlap_matrix([*ROUTE_STRINGS, ""])
+
+
+@pytest.mark.parametrize("route", ["index", "direct"])
+def test_overlap_matrix_is_read_only(route):
+    with overlap_route(route):
+        w = overlap_matrix(ROUTE_STRINGS).w
+    assert w.tolist() == [[len(brute.overlap(u, v)) for v in ROUTE_STRINGS]
+                          for u in ROUTE_STRINGS]
+    assert not w.flags.writeable
     with pytest.raises(ValueError):
-        overlap_matrix(["ab", ""])
+        w[0, 0] = 1
 
 
 # ---------------------------------------------------------------- head index
@@ -282,6 +310,44 @@ def test_index_finds_the_first_containers_of_a_scan(keys, raw):
     expected = scanned_first_containers(raw)
     with head_index(keys):
         assert graph._first_containers(raw) == expected
+
+
+@st.composite
+def short_strings_inside_long(draw):
+    """ASCII lists of at least ``graph._INDEX_LETTERS`` letters: strings of
+    ``graph._HEAD`` letters or more, copies of some, and strings of fewer
+    letters, most of them cut from inside the long ones, the rest drawn
+    freely, so that only ``_first_hits``' scan of the short strings finds
+    their containers."""
+    alphabet = draw(st.sampled_from(["ab", "\0ab", "ACGT", "abcdefghijklmnop"]))
+    longs = draw(st.lists(st.text(alphabet, min_size=graph._HEAD, max_size=120),
+                          min_size=1, max_size=10))
+    short = graph._HEAD - 1
+    need = graph._INDEX_LETTERS - sum(map(len, longs))
+    if need > 0:  # up to the index's threshold with random long strings
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        while need > 0:
+            size = rng.randint(graph._HEAD, 120)
+            longs.append("".join(rng.choice(alphabet) for _ in range(size)))
+            need -= size
+    pieces = st.tuples(st.integers(0, len(longs) - 1), st.integers(0, 119),
+                       st.integers(1, short)).map(
+        lambda t: longs[t[0]][t[1] % len(longs[t[0]]):][:t[2]])
+    out = longs + draw(st.lists(pieces, min_size=1, max_size=12))
+    out += draw(st.lists(st.text(alphabet, min_size=1, max_size=short), max_size=4))
+    out += draw(st.lists(st.sampled_from(longs), max_size=2))
+    return draw(st.permutations(out))
+
+
+@pytest.mark.parametrize("index", [True, False])
+@given(raw=short_strings_inside_long())
+@settings(max_examples=100, deadline=None)
+def test_first_containers_of_short_strings_at_the_index_threshold(index, raw):
+    assert sum(map(len, raw)) >= graph._INDEX_LETTERS
+    with pytest.MonkeyPatch.context() as mp:
+        if not index:
+            mp.setattr(graph, "_INDEX_LETTERS", sum(map(len, raw)) + 1)
+        assert graph._first_containers(raw) == scanned_first_containers(raw)
 
 
 @pytest.mark.parametrize("keys", ["real", "constant"])

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import brute
+from brute import validate_superstring
 from superstring import atsp, bounds, cli, graph, pipeline, words
 from superstring.atsp import DEFAULT_EXACT_LIMIT, SolverLimitError, SolverTag, exact_max_path
 from superstring.graph import DegenerateInstanceError, Instance, normalize, path_overlaps
@@ -24,7 +25,6 @@ from superstring.pipeline import (
     solve_combined,
     solve_s1,
     solve_s2,
-    validate_superstring,
 )
 from superstring.words import is_w_string
 
