@@ -67,12 +67,13 @@ The direct route (small or non-ASCII input) works from one sorted prefix
 index.  In the sorted list, the strings that start with a given ``p`` form
 one contiguous run, bounded by bisecting for ``p`` and for the least
 string above every extension of ``p``.  A suffix is looked up at most once
-and its length written onto its whole run with one slice fill.  A lookup
-costs a slice and two bisections, O(k log N) character comparisons in C
-for a suffix of length k; the fills cost the cells of the runs, written by
-numpy (at most N per suffix; on random text the runs shrink geometrically
-with k).  The suffixes a row looks up are its 7 shortest and those whose
-first 8 letters are in the set of the heads.
+and its length written straight into its whole run's input-order columns
+with one fill, so no second matrix is built.  A lookup costs a slice and
+two bisections, O(k log N) character comparisons in C for a suffix of
+length k; the fills cost the cells of the runs, written by numpy (at most
+N per suffix; on random text the runs shrink geometrically with k).  The
+suffixes a row looks up are its 7 shortest and those whose first 8
+letters are in the set of the heads.
 
 Cycle covers are computed exactly with scipy's assignment solver,
 ``linear_sum_assignment`` (Crouse, IEEE TAES 2016).  It is the only scipy
@@ -84,10 +85,13 @@ function.  The public import is the fallback when the file cannot be
 found or loaded; either way the same C function runs, and ``scipy>=1.10``
 stays a dependency.
 
-The minimum cover of the prefix matrix may use self-loop edges (fixed
-points of the permutation); the maximum cover masks the diagonal, because
-it feeds path constructions and a path can never use a loop edge (see
-atsp.cycle_cover_path).
+Each cover hands the solver one float64 matrix, the type it solves in, so
+the solver converts nothing (a maximizing solve still negates a copy of
+its own inside the solver).  The minimum cover of the prefix matrix may
+use self-loop edges (fixed points of the permutation); the maximum cover
+forbids them with ``-inf`` on its diagonal, an entry the solver never
+assigns, because it feeds path constructions and a path can never use a
+loop edge (see atsp.cycle_cover_path).
 """
 
 from __future__ import annotations
@@ -102,7 +106,6 @@ from typing import Sequence
 
 import numpy as np
 
-_LOOP_BAN = 1 << 40  # dwarfs any realistic total weight
 _TOP_CHAR = chr(0x10FFFF)
 _HEAD = 8  # letters of a string's head, the head index's window
 # Inputs of fewer letters skip the head index: building it costs more than
@@ -147,8 +150,9 @@ class Instance:
 
     @cached_property
     def cover(self) -> CycleCover:
-        """Exact minimum cycle cover of the prefix matrix ``|s_i| - overlap``."""
-        lengths = np.array([len(s) for s in self.strings], dtype=np.int64)
+        """Exact minimum cycle cover of the prefix matrix ``|s_i| - overlap``,
+        built as float64, the type the assignment solver reads."""
+        lengths = np.array([len(s) for s in self.strings], dtype=float)
         return min_cycle_cover(WeightMatrix(lengths[:, None] - self.overlap.w))
 
 
@@ -415,13 +419,13 @@ def overlap_matrix(strings: Sequence[str]) -> WeightMatrix:
     string ``j`` of the hit overlaps row ``u = strings[i]`` by ``|u| - at``
     letters when it starts with ``u[at:]`` and is not a copy of ``u``.
     Otherwise from one sorted copy of the strings (see the module
-    docstring): each suffix ``u[-k:]`` of row ``u`` writes ``k`` onto the
-    run of sorted strings that start with it, in ascending ``k`` so the
-    longest overlap is written last.  At ``k = |u|`` the run skips the
-    copies of ``u``.  A suffix of ``_HEAD`` letters or more can start a
-    string only where it starts with a head, so it is looked up only where
-    its first ``_HEAD`` letters are in the set of the heads (a shorter
-    string is its own head and never equals a window).
+    docstring): each suffix ``u[-k:]`` of row ``u`` writes ``k`` into the
+    input-order columns of the run of sorted strings that start with it, in
+    ascending ``k`` so the longest overlap is written last.  At ``k = |u|``
+    the run skips the copies of ``u``.  A suffix of ``_HEAD`` letters or
+    more can start a string only where it starts with a head, so it is
+    looked up only where its first ``_HEAD`` letters are in the set of the
+    heads (a shorter string is its own head and never equals a window).
     """
     if not all(strings):
         raise ValueError("empty text")
@@ -444,8 +448,8 @@ def overlap_matrix(strings: Sequence[str]) -> WeightMatrix:
                     longest.setdefault(i * n + j, len(p))
         w.put([*longest], [*longest.values()])
     else:
-        order = sorted(range(n), key=strings.__getitem__)
-        keys = sorted(strings)  # == [strings[j] for j in order]
+        cols = np.array(sorted(range(n), key=strings.__getitem__), dtype=np.intp)
+        keys = sorted(strings)  # == [strings[j] for j in cols]
         head = _HEAD
         heads = {s[:head] for s in strings}
         w = np.zeros((n, n), dtype=np.int64)
@@ -459,9 +463,9 @@ def overlap_matrix(strings: Sequence[str]) -> WeightMatrix:
                 lo = (bisect_left if at else bisect_right)(keys, p)
                 if lo < n and keys[lo].startswith(p):
                     nxt = _successor(p)
-                    row[lo:n if nxt is None else bisect_left(keys, nxt, lo)] = m - at
-        # columns back from sorted to input order (argsort of order is its inverse)
-        w = w.take(sorted(range(n), key=order.__getitem__), axis=1)
+                    hi = n if nxt is None else bisect_left(keys, nxt, lo)
+                    # one column by a scalar index, a third of a fancy one's cost
+                    row[cols[lo] if hi - lo == 1 else cols[lo:hi]] = m - at
     w.flags.writeable = False
     return WeightMatrix(w)
 
@@ -542,15 +546,14 @@ def min_cycle_cover(m: WeightMatrix) -> CycleCover:
 def max_cycle_cover(m: WeightMatrix) -> CycleCover:
     """Exact maximum-weight cycle cover without fixed points, the right
     model when the cover feeds a path construction (loop edges cannot
-    appear on a path)."""
+    appear on a path), solved on a float64 copy of the weights with
+    ``-inf`` on the diagonal.  A single node has no such cover and raises
+    ValueError."""
     if m.n == 1:
         raise ValueError("a single node admits no loop-free cycle cover")
-    w = m.w.copy()
-    np.fill_diagonal(w, -_LOOP_BAN)
-    cover = _assignment_cover(m, w, maximize=True)
-    if any(cover.perm[i] == i for i in range(m.n)):
-        raise AssertionError("assignment picked a banned loop edge")
-    return cover
+    w = m.w.astype(float)
+    np.fill_diagonal(w, -np.inf)
+    return _assignment_cover(m, w, maximize=True)
 
 
 def path_overlaps(m: WeightMatrix, order: Sequence[int]) -> list[int]:

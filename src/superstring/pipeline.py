@@ -53,15 +53,18 @@ class Representative:
     """Compressed stand-in for one cycle of the minimum cycle cover.
 
     ``text`` contains every member string of the cycle; it is a prefix of
-    ``nice.word`` repeated forever.  ``l`` is the cycle's prefix-graph weight
-    (the period the cycle winds around), the quantity the weight accounting
-    runs on.
+    ``nice.word`` repeated forever.  ``l``, the cycle's prefix-graph weight
+    (the period the cycle winds around) that the weight accounting runs on,
+    is ``|nice|``: the nice rotation keeps the cycle string's length.
     """
 
     text: str
     nice: words.NiceWord
-    l: int
     members: tuple[int, ...]
+
+    @property
+    def l(self) -> int:
+        return len(self.nice)
 
 
 @dataclass(frozen=True)
@@ -153,8 +156,7 @@ def representative(inst: Instance, cycle: Sequence[int]) -> Representative:
         if at < 0:
             raise AssertionError(f"cycle member {m!r} missing from {window!r}")
         need = max(need, at + len(m))
-    return Representative(text=window[:need], nice=nice, l=len(s_c),
-                          members=tuple(cycle))
+    return Representative(text=window[:need], nice=nice, members=tuple(cycle))
 
 
 def _representatives(inst: Instance) -> list[Representative]:

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -602,6 +603,76 @@ def test_max_cover_loopless_never_uses_diagonal():
     assert cover.total_weight == 3
 
 
+def test_max_cover_forbids_loops_at_any_weight():
+    # the one loop-free cover weighs -2^42: under a finite penalty of 2^40
+    # per loop, the two loops (-2^41) would weigh more
+    cover = max_cycle_cover(matrix([[0, -2**41], [-2**41, 0]]))
+    assert cover.perm == (1, 0)
+    assert cover.total_weight == -2**42
+
+
+def test_max_cover_of_one_node_raises():
+    with pytest.raises(ValueError,
+                       match="^a single node admits no loop-free cycle cover$"):
+        max_cycle_cover(matrix([[5]]))
+
+
+def traced_peak(step):
+    """``step()`` and the peak of the memory traced while it ran, above what
+    was traced when it started; numpy reports its buffers to tracemalloc."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = step()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def wide_strings(n=600):
+    """``n`` distinct non-ASCII strings of 16 letters, so none is inside
+    another and ``overlap_matrix`` takes its direct route."""
+    rng = random.Random(600)
+    strings = {}
+    while len(strings) < n:
+        strings["".join(rng.choices("αβγδ", k=16))] = None
+    return [*strings]
+
+
+# one n^2 array of 8-byte cells, with room for the rest of a step's memory
+# but not for a second such array
+ONE_MATRIX = 1.5 * 600 * 600 * 8
+
+
+def test_min_cover_builds_one_matrix():
+    inst = Instance(tuple(wide_strings()))
+    inst.overlap  # built before the trace
+    cover, peak = traced_peak(lambda: inst.cover)
+    assert peak < ONE_MATRIX
+    assert cover == min_cycle_cover(matrices(inst.strings)[1])
+
+
+def test_max_cover_builds_one_matrix():
+    ov = overlap_matrix(wide_strings())
+    cover, peak = traced_peak(lambda: max_cycle_cover(ov))
+    assert peak < ONE_MATRIX
+    assert all(cover.perm[i] != i for i in range(ov.n))
+
+
+def test_direct_overlap_route_builds_one_matrix():
+    strings = wide_strings()
+    assert graph._head_hits(strings, strings) is None
+    ov, peak = traced_peak(lambda: overlap_matrix(strings))
+    assert peak < ONE_MATRIX
+    # the same strings in ASCII letters take the head index
+    ascii_strings = [s.translate(str.maketrans("αβγδ", "acgt")) for s in strings]
+    assert graph._head_hits(ascii_strings, ascii_strings) is not None
+    assert np.array_equal(ov.w, overlap_matrix(ascii_strings).w)
+
+
 square_matrices = st.integers(min_value=2, max_value=7).flatmap(
     lambda n: st.lists(st.lists(st.integers(min_value=0, max_value=9),
                                 min_size=n, max_size=n),
@@ -674,13 +745,13 @@ def test_file_loaded_solver_is_found_here():
 
 
 def test_file_loaded_solver_matches_public_on_both_covers():
-    # the minimum cover with loops and the maximum cover with the loop ban,
-    # exactly as min_cycle_cover and max_cycle_cover call the solver
+    # the minimum cover with loops and the maximum cover with loops
+    # forbidden, exactly as min_cycle_cover and max_cycle_cover call the solver
     for pref, ov in drawn_prefix_and_overlap(5, 200):
         assert_same_assignment(pref, maximize=False)
-        banned = ov.copy()
-        np.fill_diagonal(banned, -graph._LOOP_BAN)
-        assert_same_assignment(banned, maximize=True)
+        loop_free = ov.astype(float)
+        np.fill_diagonal(loop_free, -np.inf)
+        assert_same_assignment(loop_free, maximize=True)
 
 
 @pytest.mark.parametrize("dtype", [np.int16, np.int64])
