@@ -3,10 +3,13 @@
 The package splits into five library layers plus a command line:
 
 * words: rotations, borders, periods, overlaps, nice rotations.
-* graph: overlap/prefix matrices and exact cycle covers.
+* graph: overlap/prefix matrices, exact cycle covers, and the instance,
+  which owns its reduction: overlap matrix, cover, representatives and
+  their overlap matrix.
 * atsp: maximum-weight Hamiltonian path solvers (exact, cover-based, greedy).
-* pipeline: the cycle-cover-to-representatives superstring constructions
-  (solve_s1 / solve_s2 / solve_combined) and the greedy / exact baselines.
+* pipeline: the superstring constructions over the representatives
+  (solve_s1 / solve_s2 / solve_combined), the greedy / exact baselines and
+  the run rules.
 * bounds: executable inequality checks, tight example families, fuzz
   campaigns.
 """

@@ -11,10 +11,10 @@ entry, without which ``ratio_guarantee`` raises KeyError.  Three strategies:
   together at n=16 with int16).  A configurable node limit and a fixed
   1 GiB ceiling on table plus index (n <= 22) are checked before anything
   is allocated.
-* cycle_cover_path: exact maximum cycle cover with loops forbidden (a
-  ``-inf`` diagonal, see graph.max_cycle_cover), then drop the lightest
-  edge of every cycle and chain the resulting paths.  Guarantees at least
-  half the optimal path weight.
+* cycle_cover_path: exact maximum cycle cover with loops forbidden (see
+  graph.max_cycle_cover), then drop the lightest edge of every cycle and
+  chain the resulting paths.  Guarantees at least half the optimal path
+  weight.
 * greedy_max_path: repeatedly commit the heaviest edge that still extends to
   a Hamiltonian path, one masked ``argmax`` per edge.  Guarantees a third of
   the optimal path weight on any non-negative weights, and half on overlap

@@ -37,7 +37,7 @@ from .graph import (
     max_cycle_cover,
     normalize,
 )
-from .pipeline import representative_overlap, representatives
+from .pipeline import representatives
 from .words import NiceWord, RotationKind
 
 
@@ -539,7 +539,7 @@ def pipeline_cycle_fuzz(trials: int, seed: int, *, start: int = 0) -> CampaignRe
         result.cases += 1
         if len(reps) < 2:
             continue
-        cover = max_cycle_cover(representative_overlap(inst))
+        cover = max_cycle_cover(inst.representative_overlap)
         for cyc in cover.cycles:
             chosen = [reps[i] for i in cyc]
             if any(r.nice.degenerate for r in chosen):

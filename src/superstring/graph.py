@@ -7,11 +7,13 @@ fresh copy of itself).  The *prefix* matrix is its complement:
 prefix matrix and maximum cycle covers of the overlap matrix are the same
 permutations.
 
-Every solver starts from the same reduction of an instance: its overlap
-matrix and the exact minimum cycle cover of its prefix matrix (Blum et al.,
-JACM 1994).  ``Instance.overlap`` and ``Instance.cover`` compute each once
-per instance object, on first use, and every consumer reads them there.
-Each input is checked substring-free once, by ``normalize`` or ``Instance``.
+Every solver starts from the same reduction of an instance, which
+``Instance`` owns: its overlap matrix, the exact minimum cycle cover of its
+prefix matrix (Blum et al., JACM 1994), one ``representative`` per cycle of
+that cover and the representatives' overlap matrix.  Each stage is a
+``cached_property`` of ``Instance``, computed once per instance object, on
+first use, and every consumer reads it there.  Each input is checked
+substring-free once, by ``normalize`` or ``Instance``.
 
 The substring questions go through one *head index* (a q-gram filter,
 Ukkonen, TCS 1992).  A string's head is its first ``_HEAD`` (8) letters.
@@ -37,7 +39,7 @@ so:
 confirms each of its hits with ``startswith`` too, so no answer depends on
 the keys.  It refuses an empty string once, before either route runs, and
 returns its matrix read-only, so a matrix kept for reuse
-(``Instance.overlap``, the pipeline's representative matrix) needs no step
+(``Instance.overlap``, ``Instance.representative_overlap``) needs no step
 of its own.
 
 ``_head_hits`` alone decides where the index runs.  It returns None, and
@@ -85,13 +87,13 @@ function.  The public import is the fallback when the file cannot be
 found or loaded; either way the same C function runs, and ``scipy>=1.10``
 stays a dependency.
 
-Each cover hands the solver one float64 matrix, the type it solves in, so
-the solver converts nothing (a maximizing solve still negates a copy of
-its own inside the solver).  The minimum cover of the prefix matrix may
-use self-loop edges (fixed points of the permutation); the maximum cover
-forbids them with ``-inf`` on its diagonal, an entry the solver never
-assigns, because it feeds path constructions and a path can never use a
-loop edge (see atsp.cycle_cover_path).
+Each cover hands the solver one float64 matrix, the type it solves in, to
+minimize, so the solver neither converts nor negates a copy of its own.
+The minimum cover of the prefix matrix may use self-loop edges (fixed
+points of the permutation).  The maximum cover is the minimum cover of the
+negated weights with ``+inf`` on the diagonal, an entry the solver never
+assigns: it forbids loops because it feeds path constructions, and a path
+can never use a loop edge (see atsp.cycle_cover_path).
 """
 
 from __future__ import annotations
@@ -106,6 +108,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import words
+
 _TOP_CHAR = chr(0x10FFFF)
 _HEAD = 8  # letters of a string's head, the head index's window
 # Inputs of fewer letters skip the head index: building it costs more than
@@ -118,12 +122,10 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio, odd: Fibonacci hash
 class Instance:
     """Two or more strings, none inside another: checked, unless from ``normalize``.
 
-    ``overlap`` and ``cover`` are the instance's reduction, each computed on
-    first use and kept on this object only: two equal instances compute
-    their own, and equality and hashing see ``strings`` alone.  The
-    pipeline keeps the rest of the reduction (the representatives, their
-    overlap matrix and each checked text's first occurrences) on the object
-    by the same rule.
+    Each stage of the instance's reduction is a ``cached_property``: built
+    on first use and kept on this object only, so it is freed with the
+    object and never shared with an equal instance; equality and hashing
+    see ``strings`` alone.
     """
 
     strings: tuple[str, ...]
@@ -154,6 +156,26 @@ class Instance:
         built as float64, the type the assignment solver reads."""
         lengths = np.array([len(s) for s in self.strings], dtype=float)
         return min_cycle_cover(WeightMatrix(lengths[:, None] - self.overlap.w))
+
+    @cached_property
+    def representatives(self) -> list[Representative]:
+        """One ``representative`` per cycle of ``cover``, in cycle order; no
+        reader changes the list."""
+        return [representative(self, cyc) for cyc in self.cover.cycles]
+
+    @cached_property
+    def representative_overlap(self) -> WeightMatrix:
+        """The overlap matrix of the representative texts, in
+        ``representatives`` order (read-only); a single representative
+        needs none, so nothing builds it there."""
+        return overlap_matrix([r.text for r in self.representatives])
+
+    @cached_property
+    def checked_texts(self) -> dict[str, list[int]]:
+        """Each text a solver returned that holds every instance string,
+        mapped to the strings' first starts in it; ``pipeline._solution``
+        fills it."""
+        return {}
 
 
 class DegenerateInstanceError(ValueError):
@@ -531,32 +553,86 @@ def _assignment_solver():
 linear_sum_assignment = _assignment_solver()
 
 
-def _assignment_cover(m: WeightMatrix, w: np.ndarray, maximize: bool) -> CycleCover:
-    """The cover that the assignment solver picks on ``w``, weighed by ``m``."""
+def _assignment_cover(m: WeightMatrix, w: np.ndarray) -> CycleCover:
+    """The cover that the assignment solver picks minimizing ``w``, weighed
+    by ``m``."""
     # on a square matrix, rows is arange(n): cols is the permutation
-    rows, cols = linear_sum_assignment(w, maximize=maximize)
+    rows, cols = linear_sum_assignment(w)
     return CycleCover(perm=tuple(cols.tolist()), total_weight=int(m.w[rows, cols].sum()))
 
 
 def min_cycle_cover(m: WeightMatrix) -> CycleCover:
     """Exact minimum-weight cycle cover (self-loops allowed)."""
-    return _assignment_cover(m, m.w, maximize=False)
+    return _assignment_cover(m, m.w)
 
 
 def max_cycle_cover(m: WeightMatrix) -> CycleCover:
     """Exact maximum-weight cycle cover without fixed points, the right
     model when the cover feeds a path construction (loop edges cannot
-    appear on a path), solved on a float64 copy of the weights with
-    ``-inf`` on the diagonal.  A single node has no such cover and raises
-    ValueError."""
+    appear on a path), solved as the minimum cover of one float64 copy of
+    the negated weights with ``+inf`` on the diagonal.  A single node has
+    no such cover and raises ValueError."""
     if m.n == 1:
         raise ValueError("a single node admits no loop-free cycle cover")
-    w = m.w.astype(float)
-    np.fill_diagonal(w, -np.inf)
-    return _assignment_cover(m, w, maximize=True)
+    w = np.negative(m.w, dtype=float)
+    np.fill_diagonal(w, np.inf)
+    return _assignment_cover(m, w)
 
 
 def path_overlaps(m: WeightMatrix, order: Sequence[int]) -> list[int]:
     """The weights ``m.w[order[t], order[t+1]]`` of consecutive nodes."""
     return list(map(m.w.item, order, order[1:]))
 
+
+
+@dataclass(frozen=True)
+class Representative:
+    """Compressed stand-in for one cycle of the minimum cycle cover.
+
+    ``text`` contains every member string of the cycle; it is a prefix of
+    ``nice.word`` repeated forever.  ``l``, the cycle's prefix-graph weight
+    (the period the cycle winds around) that the weight accounting runs on,
+    is ``|nice|``: the nice rotation keeps the cycle string's length.
+    """
+
+    text: str
+    nice: words.NiceWord
+    members: tuple[int, ...]
+
+    @property
+    def l(self) -> int:
+        return len(self.nice)
+
+
+def cycle_string(inst: Instance, cycle: Sequence[int]) -> str:
+    """Concatenated prefix parts read along the cycle; |s(C)| = cycle weight.
+
+    Each part is ``s_i`` less its overlap with the next member, read from the
+    instance's overlap matrix.
+    """
+    ss = inst.strings
+    ov = path_overlaps(inst.overlap, (*cycle, cycle[0]))
+    return "".join(ss[i][:len(ss[i]) - o] for i, o in zip(cycle, ov))
+
+
+def representative(inst: Instance, cycle: Sequence[int]) -> Representative:
+    """Shortest prefix of w(C) repeated forever that contains all cycle members.
+
+    Every member is a substring of s(C) repeated forever, so it occurs in the
+    w(C)-power at an offset below |s(C)|; the result is therefore shorter
+    than |s(C)| + max member length.  Unary cycle strings get the degenerate
+    single-letter NiceWord.  The cycle string of an exact minimum cover is
+    primitive (Blum et al., JACM 1994), so it is its own repeating base and
+    ``l`` is its length; ``nice_rotation`` raises ValueError on any other.
+    The members' first occurrences come from ``first_occurrences``.
+    """
+    s_c = cycle_string(inst, cycle)
+    nice = words.nice_rotation(s_c)
+    members = [inst.strings[i] for i in cycle]
+    window = words.w_string_prefix(nice, len(s_c) + max(len(m) for m in members))
+    need = 0
+    for m, at in zip(members, first_occurrences(window, members)):
+        if at < 0:
+            raise AssertionError(f"cycle member {m!r} missing from {window!r}")
+        need = max(need, at + len(m))
+    return Representative(text=window[:need], nice=nice, members=tuple(cycle))

@@ -13,21 +13,11 @@ The main route reduces the instance to a small set of *representatives*:
 ``solve_s1`` runs this with the path solver named by a ``SolverTag`` and
 ``solve_s2`` with the cycle-cover/drop-lightest-edge solver;
 ``greedy_superstring`` and ``exact_superstring`` are the classic baselines.
-All of them read the instance's overlap matrix and cover (``Instance.overlap``,
-``Instance.cover``), which each instance computes once, and return through
-``_solution``, which checks the text against every instance string.
-
-The rest of the reduction is also computed once per instance object and
-kept on that object only, the way ``Instance`` keeps its matrix and cover:
-``representatives`` builds the representatives on its first call, and
-``representative_overlap`` builds their overlap matrix on first use only
-(a single representative needs none), so s1, s2 and the
-``bounds.pipeline_cycle_fuzz`` campaign share one reduction.  ``_solution``
-checks each distinct text once per instance, so s1 and s2 returning the
-same text check it once.  Nothing is shared between two equal instances.
-The pipeline's string searches, that check and each representative's search
-for its members, are first occurrences from ``graph.first_occurrences``,
-which goes through the head index on long ASCII texts (see ``graph``).
+All of them read the stages of the reduction from ``graph.Instance``,
+which builds the representatives too (``Representative``, ``cycle_string``
+and ``representative`` live in ``graph`` and are re-exported here), and
+return through ``_solution``, which checks the text against every instance
+string once per distinct text, with ``graph.first_occurrences``.
 ``solve_each`` runs the ``ALGORITHMS`` by name and holds the run rules (s1
 under ``half`` is s2's run; ``combined`` is ``better_of`` s1 and s2);
 ``solve_combined`` and the ``solve``/``compare`` commands go through it.
@@ -42,29 +32,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import words
 from .atsp import DEFAULT_EXACT_LIMIT, SolverTag, int_table_type, max_path
-from .graph import (Instance, WeightMatrix, first_occurrences, overlap_matrix,
-                    path_overlaps)
-
-
-@dataclass(frozen=True)
-class Representative:
-    """Compressed stand-in for one cycle of the minimum cycle cover.
-
-    ``text`` contains every member string of the cycle; it is a prefix of
-    ``nice.word`` repeated forever.  ``l``, the cycle's prefix-graph weight
-    (the period the cycle winds around) that the weight accounting runs on,
-    is ``|nice|``: the nice rotation keeps the cycle string's length.
-    """
-
-    text: str
-    nice: words.NiceWord
-    members: tuple[int, ...]
-
-    @property
-    def l(self) -> int:
-        return len(self.nice)
+from .graph import (Instance, Representative, cycle_string, first_occurrences,
+                    path_overlaps, representative)
 
 
 @dataclass(frozen=True)
@@ -94,24 +64,14 @@ def _merge_texts(texts: Sequence[str], overlaps: Sequence[int]) -> str:
     return "".join(out)
 
 
-def _kept(inst: Instance, name: str, build):
-    """``build()``, made on the first call for this instance object and kept
-    in its ``__dict__`` under ``name``, as ``cached_property`` keeps
-    ``Instance.overlap``: freed with the object, never shared with an equal
-    instance."""
-    kept = vars(inst)
-    if name not in kept:
-        kept[name] = build()
-    return kept[name]
-
-
 def _solution(inst: Instance, text: str, algorithm: str, order=None) -> Solution:
     """``text`` as a Solution: each instance string is found in it, a miss
     raises AssertionError, and ``order`` defaults to the strings' order of
     first appearance.  The search is ``graph.first_occurrences``, through
     the head index on a long ASCII text; it runs once per distinct text per
-    instance, and only a text that passed is kept."""
-    checked = _kept(inst, "_checked_texts", dict)
+    instance, and only a text that passed is kept, in
+    ``inst.checked_texts``."""
+    checked = inst.checked_texts
     pos = checked.get(text)
     if pos is None:
         pos = first_occurrences(text, inst.strings)
@@ -125,59 +85,9 @@ def _solution(inst: Instance, text: str, algorithm: str, order=None) -> Solution
                     algorithm=algorithm)
 
 
-def cycle_string(inst: Instance, cycle: Sequence[int]) -> str:
-    """Concatenated prefix parts read along the cycle; |s(C)| = cycle weight.
-
-    Each part is ``s_i`` less its overlap with the next member, read from the
-    instance's overlap matrix.
-    """
-    ss = inst.strings
-    ov = path_overlaps(inst.overlap, (*cycle, cycle[0]))
-    return "".join(ss[i][:len(ss[i]) - o] for i, o in zip(cycle, ov))
-
-
-def representative(inst: Instance, cycle: Sequence[int]) -> Representative:
-    """Shortest prefix of w(C) repeated forever that contains all cycle members.
-
-    Every member is a substring of s(C) repeated forever, so it occurs in the
-    w(C)-power at an offset below |s(C)|; the result is therefore shorter
-    than |s(C)| + max member length.  Unary cycle strings get the degenerate
-    single-letter NiceWord.  The cycle string of an exact minimum cover is
-    primitive (Blum et al., JACM 1994), so it is its own repeating base and
-    ``l`` is its length; ``nice_rotation`` raises ValueError on any other.
-    The members' first occurrences come from ``graph.first_occurrences``.
-    """
-    s_c = cycle_string(inst, cycle)
-    nice = words.nice_rotation(s_c)
-    members = [inst.strings[i] for i in cycle]
-    window = words.w_string_prefix(nice, len(s_c) + max(len(m) for m in members))
-    need = 0
-    for m, at in zip(members, first_occurrences(window, members)):
-        if at < 0:
-            raise AssertionError(f"cycle member {m!r} missing from {window!r}")
-        need = max(need, at + len(m))
-    return Representative(text=window[:need], nice=nice, members=tuple(cycle))
-
-
-def _representatives(inst: Instance) -> list[Representative]:
-    # representatives' body, which representative_overlap reads too, so a
-    # wrapper of representatives sees only the calls made by solvers
-    return _kept(inst, "_representatives",
-                 lambda: [representative(inst, cyc) for cyc in inst.cover.cycles])
-
-
 def representatives(inst: Instance) -> list[Representative]:
-    """Representatives of all cycles of an exact minimum prefix-graph cover,
-    built on the first call for ``inst``; later calls return the same list,
-    which no caller changes."""
-    return _representatives(inst)
-
-
-def representative_overlap(inst: Instance) -> WeightMatrix:
-    """The overlap matrix of the representative texts of ``inst``, in
-    ``representatives`` order, built on first use and then kept (read-only)."""
-    return _kept(inst, "_representative_overlap",
-                 lambda: overlap_matrix([r.text for r in _representatives(inst)]))
+    """``inst.representatives``: one per cycle of the instance's cover."""
+    return inst.representatives
 
 
 def solve_s1(inst: Instance, path_solver: SolverTag = SolverTag.EXACT,
@@ -188,7 +98,7 @@ def solve_s1(inst: Instance, path_solver: SolverTag = SolverTag.EXACT,
     if len(reps) == 1:
         text = reps[0].text
     else:
-        m = representative_overlap(inst)
+        m = inst.representative_overlap
         order = max_path(m, path_solver, limit).order
         text = _merge_texts([reps[i].text for i in order], path_overlaps(m, order))
     return _solution(inst, text, f"s1[{path_solver.value}]")

@@ -420,8 +420,27 @@ def test_equal_instances_do_not_share_a_reduction(monkeypatch):
     assert representatives(first) is representatives(first)
     assert representatives(first) == representatives(second)
     assert representatives(first) is not representatives(second)
-    assert (pipeline.representative_overlap(first)
-            is not pipeline.representative_overlap(second))
+    assert first.representative_overlap is not second.representative_overlap
+
+
+@pytest.mark.parametrize("tag", list(SolverTag), ids=lambda tag: tag.value)
+def test_a_one_cycle_instance_builds_no_representative_matrix(
+        tmp_path, monkeypatch, capsys, tag):
+    strings = TWO_CYCLES[:3]
+    path = tmp_path / "inst.txt"
+    path.write_text("\n".join(strings) + "\n", encoding="utf-8")
+    insts = record_calls(monkeypatch, pipeline, "representatives")
+    matrices = record_calls(monkeypatch, graph, "overlap_matrix")
+    for command in ("solve", "compare"):
+        insts.clear()
+        matrices.clear()
+        assert cli.main([command, str(path), "--path-solver", tag.value]) == 0
+        [inst] = {id(inst): inst for inst in insts}.values()
+        assert len(inst.cover.cycles) == 1
+        assert matrices == [inst.strings]  # the instance's, and no other
+        # the built stages change neither equality nor hashing
+        assert inst == Instance(strings) and hash(inst) == hash(Instance(strings))
+    capsys.readouterr()
 
 
 def test_pipeline_cycle_fuzz_reads_the_matrix_solve_s1_reads(monkeypatch):
