@@ -7,7 +7,8 @@ entry, without which ``ratio_guarantee`` raises KeyError.  Three strategies:
 * exact_max_path: Held-Karp dynamic programming over node subsets, filled
   one popcount layer at a time with numpy array operations; exact but
   exponential, O(2^n n^2) time, a 2^n * n table of the narrowest integer
-  type that holds the path weights and an int32 index of its cells (6 MB
+  type that holds the path weights (``graph.int_table_type``, the rule the
+  overlap matrix is stored by too) and an int32 index of its cells (6 MB
   together at n=16 with int16).  A configurable node limit and a fixed
   1 GiB ceiling on table plus index (n <= 22) are checked before anything
   is allocated.
@@ -31,7 +32,7 @@ from math import comb
 
 import numpy as np
 
-from .graph import WeightMatrix, max_cycle_cover, path_overlaps
+from .graph import WeightMatrix, int_table_type, max_cycle_cover, path_overlaps
 
 
 class SolverTag(enum.Enum):
@@ -82,25 +83,9 @@ DEFAULT_EXACT_LIMIT = 16
 # index, n * 2^n * (itemsize + 4) bytes: 738 MB at n=22 with an int32 table,
 # 1.2 GB at n=23 even with int16.
 _MAX_TABLE_BYTES = 1 << 30
-# (room, type, unset) for int16, int32 and int64, narrowest first.  A table
-# of the type holds values below room in absolute value; unset, the type's
-# minimum // 2, is -2 * room, so adding a value of the table or a weight to
-# it can neither overflow nor reach a held value.  Computed once here, since
-# np.iinfo costs about a microsecond per call.
-_INT_TYPES = tuple((-(np.iinfo(t).min // 4), np.dtype(t), np.iinfo(t).min // 2)
-                   for t in (np.int16, np.int32, np.int64))
 # Candidate cells per numpy call in the Held-Karp fill: 128 KB at int16
 # stays in cache and keeps peak memory close to the table's own size.
 _BLOCK_CELLS = 1 << 16
-
-
-def int_table_type(peak: int) -> tuple[np.dtype, int]:
-    """The narrowest of int16, int32 and int64 for a table whose values are
-    at most ``peak`` in absolute value, and that type's unset value."""
-    for room, dtype, unset in _INT_TYPES:
-        if peak < room:
-            return dtype, unset
-    raise ValueError(f"values up to {peak} do not fit an int64 table")
 
 
 _Layout = tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]

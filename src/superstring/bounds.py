@@ -341,7 +341,11 @@ def expected_greedy_path(n: int) -> dict:
             "periods": list(range(3, n + 1))}
 
 
-_MAX_DRAWS = 10000
+# Letters drawn, over all draws, before gen_random_instance gives up: the
+# cost of a draw grows with its letters (normalize tests its strings against
+# each other), so a budget of letters bounds the time, where a count of
+# draws did not.  640000 is 10000 draws of 16 strings of 4 letters.
+_MAX_LETTERS = 640000
 
 
 def _letters(alphabet_size: int) -> str:
@@ -371,11 +375,12 @@ def gen_random_instance(rng: random.Random, n_range=(2, 8), length_range=(1, 12)
 
     Each draw takes ``rng.randint(*n_range)`` strings with lengths in
     ``length_range`` and normalizes them.  A draw that keeps fewer strings
-    is redrawn; after _MAX_DRAWS draws, ValueError.  Arguments with which
-    no draw can keep enough strings raise ValueError before the rng is
-    touched.  Substring-free strings are prefix-free, so by Kraft's
-    inequality at most ``alphabet_size ** length_range[1]`` of them exist;
-    all strings of that length reach the cap.
+    is redrawn until the draws hold ``_MAX_LETTERS`` (640000) letters in
+    all, and then ValueError.  Arguments with which no draw can keep enough
+    strings raise ValueError before the rng is touched.  Substring-free
+    strings are prefix-free, so by Kraft's inequality at most
+    ``alphabet_size ** length_range[1]`` of them exist; all strings of that
+    length reach the cap.
     """
     letters = _letters(alphabet_size)
     fewest, longest = n_range[0], length_range[1]
@@ -388,17 +393,19 @@ def gen_random_instance(rng: random.Random, n_range=(2, 8), length_range=(1, 12)
         raise ValueError(
             f"n_range[0] = {fewest} exceeds alphabet_size ** length_range[1] = "
             f"{alphabet_size ** longest}, the most strings that can be substring-free")
-    for _ in range(_MAX_DRAWS):
+    drawn = 0
+    while drawn < _MAX_LETTERS:
         raw = ["".join(rng.choice(letters)
                        for _ in range(rng.randint(*length_range)))
                for _ in range(rng.randint(*n_range))]
+        drawn += sum(map(len, raw))
         try:
             inst, _ = normalize(raw)
         except DegenerateInstanceError:
             continue
         if len(inst) >= fewest:
             return inst
-    raise ValueError(f"no draw of {_MAX_DRAWS} kept {fewest} substring-free strings")
+    raise ValueError(f"no draw kept {fewest} substring-free strings in {_MAX_LETTERS} letters")
 
 
 # --------------------------------------------------------------------------

@@ -59,10 +59,14 @@ each consumer takes its direct route instead, when
 
 The overlap matrix takes two routes, both in the spirit of Gusfield,
 Landau & Schieber's all-pairs suffix-prefix algorithm (IPL 1992): one pass
-over shared keys instead of per-pair scans.  Through the head index, an
-overlap of fewer than 8 letters depends only on the row's last 7 letters
-and the column's first 7, so numpy decides all of them at once by
-comparing those keys, one plane per overlap length; a longer overlap
+over shared keys instead of per-pair scans.  Both write one matrix in the
+narrowest integer type that holds the longest string's length
+(``int_table_type``, the rule ``atsp`` sizes its tables by: int16 below
+8192 letters), so every consumer reads it as built; a sum over it or an
+offset of it (the prefix matrix, a cover's weight) widens.  Through the
+head index, an overlap of fewer than 8 letters depends only on the row's
+last 7 letters and the column's first 7, so numpy decides all of them at
+once by comparing those keys, one plane per overlap length; a longer overlap
 starts at a hit, and ``startswith`` confirms each of the hit's strings.
 
 The direct route (small or non-ASCII input) works from one sorted prefix
@@ -116,6 +120,22 @@ _HEAD = 8  # letters of a string's head, the head index's window
 # the direct scans it replaces there
 _INDEX_LETTERS = 768
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio, odd: Fibonacci hashing
+# (room, type, unset) for int16, int32 and int64, narrowest first.  A table
+# of the type holds values below room in absolute value; unset, the type's
+# minimum // 2, is -2 * room, so adding a value of the table or a weight to
+# it can neither overflow nor reach a held value.  Computed once here, since
+# np.iinfo costs about a microsecond per call.
+_INT_TYPES = tuple((-(np.iinfo(t).min // 4), np.dtype(t), np.iinfo(t).min // 2)
+                   for t in (np.int16, np.int32, np.int64))
+
+
+def int_table_type(peak: int) -> tuple[np.dtype, int]:
+    """The narrowest of int16, int32 and int64 for a table whose values are
+    at most ``peak`` in absolute value, and that type's unset value."""
+    for room, dtype, unset in _INT_TYPES:
+        if peak < room:
+            return dtype, unset
+    raise ValueError(f"values up to {peak} do not fit an int64 table")
 
 
 @dataclass(frozen=True)
@@ -236,13 +256,14 @@ def _head_hits(texts: Sequence[str], strings: Sequence[str],
     bits = 4 + len(heads).bit_length()
     per_slot = np.bincount(_slot(head_keys, bits), minlength=1 << bits).astype(
         np.min_scalar_type(len(heads)))
-    hit = np.flatnonzero(per_slot.astype(bool)[_slot(windows, bits)])
+    slots = _slot(windows, bits)
+    hit = np.flatnonzero(per_slot.astype(bool)[slots])
     # the heads in a window's slot bound its (hit, string) pairs: the
     # fullest slot bounds them all at once, and failing that, their sum over
     # the windows; windows across two texts count too: they can only give
     # the index up
     if (budget is not None and len(hit) * int(per_slot.max()) > budget
-            and int(per_slot[_slot(windows, bits)].sum()) > budget):
+            and int(per_slot[slots].sum()) > budget):
         return None
     key = windows[hit]
     first = head_keys.searchsorted(key)
@@ -431,7 +452,8 @@ def _short_overlaps(strings: Sequence[str]) -> np.ndarray:
 
 def overlap_matrix(strings: Sequence[str]) -> WeightMatrix:
     """All-pairs ``w[i, j] = words.overlap_len(strings[i], strings[j])``,
-    returned read-only.
+    returned read-only, in the narrowest integer type that holds the longest
+    string's length (``int_table_type``; int16 below 8192 letters).
 
     Equal strings, the diagonal included, get the longest proper border.
     An empty string is refused before either route runs.  Through the head
@@ -452,11 +474,13 @@ def overlap_matrix(strings: Sequence[str]) -> WeightMatrix:
     if not all(strings):
         raise ValueError("empty text")
     n = len(strings)
+    # no overlap reaches the longest string's length
+    dtype = int_table_type(max(map(len, strings), default=0))[0]
     hits = _head_hits(strings, strings, sum(map(len, strings)))
     if hits is not None:
         # a function of its own, so its compare planes are freed before the
-        # int64 matrix is allocated
-        w = _short_overlaps(strings).astype(np.int64)
+        # matrix is allocated
+        w = _short_overlaps(strings).astype(dtype)
         # a row's hits ascend by start, so the first one to confirm a cell
         # is its longest overlap
         longest: dict[int, int] = {}
@@ -474,7 +498,7 @@ def overlap_matrix(strings: Sequence[str]) -> WeightMatrix:
         keys = sorted(strings)  # == [strings[j] for j in cols]
         head = _HEAD
         heads = {s[:head] for s in strings}
-        w = np.zeros((n, n), dtype=np.int64)
+        w = np.zeros((n, n), dtype=dtype)
         for i, u in enumerate(strings):
             row = w[i]
             m = len(u)

@@ -18,9 +18,10 @@ which builds the representatives too (``Representative``, ``cycle_string``
 and ``representative`` live in ``graph`` and are re-exported here), and
 return through ``_solution``, which checks the text against every instance
 string once per distinct text, with ``graph.first_occurrences``.
-``solve_each`` runs the ``ALGORITHMS`` by name and holds the run rules (s1
-under ``half`` is s2's run; ``combined`` is ``better_of`` s1 and s2);
-``solve_combined`` and the ``solve``/``compare`` commands go through it.
+``solve_each`` runs the ``ALGORITHMS`` by name, each at most once, and
+``combined`` is ``better_of`` s1 and s2; ``solve_combined`` and the
+``solve``/``compare`` commands go through it.  Under ``half`` s1 runs what
+s2 runs, over the same cached representatives, and returns the same text.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .atsp import DEFAULT_EXACT_LIMIT, SolverTag, int_table_type, max_path
+from .atsp import DEFAULT_EXACT_LIMIT, SolverTag, max_path
 from .graph import (Instance, Representative, cycle_string, first_occurrences,
                     path_overlaps, representative)
 
@@ -133,10 +134,9 @@ def greedy_superstring(inst: Instance) -> Solution:
     n = len(inst)
     # ov[i, j] is the overlap of live chains i != j and -1 everywhere else,
     # so the row-major first maximum is the tie-broken best pair.  It is a
-    # copy in the narrowest type that holds the longest string, and so every
-    # overlap, which makes each argmax cheaper.
-    longest = max(map(len, inst.strings))
-    ov = inst.overlap.w.astype(int_table_type(longest)[0])
+    # copy of the overlap matrix in its own type, the narrowest that holds
+    # the longest string, which makes each argmax cheaper.
+    ov = inst.overlap.w.copy()
     np.fill_diagonal(ov, -1)
     chains = {i: [i] for i in range(n)}
     while len(chains) > 1:
@@ -169,20 +169,16 @@ def solve_each(inst: Instance, algos: Sequence[str],
                ) -> Iterator[tuple[str, Solution, float]]:
     """``(algo, Solution, ms)`` for each ``ALGORITHMS`` name in ``algos``, in
     that order, each run only when its row is asked for.  Each of s1, s2,
-    greedy and exact runs at most once; under ``half`` s1 runs exactly what
-    s2 runs, so its row is s2's run relabelled ``s1[half]``; ``combined`` is
-    ``better_of`` the s1 and s2 runs, the ms of each counted once.  Solvers
-    are looked up at call time, so a rebound one is the one that runs."""
-    half = path_solver is SolverTag.CYCLE_COVER_HALF
+    greedy and exact runs at most once, and ``combined`` is ``better_of``
+    the s1 and s2 runs, their ms summed.  s1 and s2 share the instance's
+    reduction, and a text they share is checked once.  Solvers are looked
+    up at call time, so a rebound one is the one that runs."""
 
     @functools.cache
     def run(algo):
         if algo == "combined":
             (s1, ms1), (s2, ms2) = run("s1"), run("s2")
-            return better_of(s1, s2), ms2 if half else ms1 + ms2
-        if algo == "s1" and half:
-            sol, ms = run("s2")
-            return replace(sol, algorithm="s1[half]"), ms
+            return better_of(s1, s2), ms1 + ms2
         t0 = time.perf_counter()
         if algo == "s1":
             sol = solve_s1(inst, path_solver, limit)

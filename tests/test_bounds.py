@@ -352,9 +352,11 @@ def test_gen_random_instance_reaches_the_kraft_cap(alphabet_size, length):
         "".join(p) for p in itertools.product(letters, repeat=length))
 
 
-def test_gen_random_instance_gives_up_after_10000_draws():
-    # 16 binary strings of length 4 are all of them: 16!/16**16 ~ 1e-6 a draw
-    with pytest.raises(ValueError, match="no draw of 10000"):
+def test_gen_random_instance_gives_up_after_640000_letters():
+    # 16 binary strings of length 4 are all of them: 16!/16**16 ~ 1e-6 a
+    # draw, and 10000 draws of 64 letters exhaust the budget
+    with pytest.raises(ValueError,
+                       match="^no draw kept 16 substring-free strings in 640000 letters$"):
         gen_random_instance(random.Random(0), n_range=(16, 16),
                             length_range=(4, 4))
 

@@ -240,13 +240,19 @@ def test_compare_single_string_exits_0_like_solve(tmp_path, capsys):
 
 @pytest.mark.parametrize("tag", list(SolverTag), ids=lambda tag: tag.value)
 def test_compare_checks_each_solver_text_once(tmp_path, capsys, monkeypatch, tag):
-    solution, seen = pipeline._solution, []
+    solution, search = pipeline._solution, pipeline.first_occurrences
+    seen, checked = [], []
 
     def counted(inst, text, *args):
         seen.append(text)
         return solution(inst, text, *args)
 
+    def searched(text, strings):
+        checked.append(text)
+        return search(text, strings)
+
     monkeypatch.setattr(pipeline, "_solution", counted)
+    monkeypatch.setattr(pipeline, "first_occurrences", searched)
     # two cover cycles, so s1 runs its path solver
     path = write_instance(tmp_path, ["aab", "aba", "baa", "ccd", "cdc", "dcc"])
     out = tmp_path / "c.json"
@@ -254,9 +260,10 @@ def test_compare_checks_each_solver_text_once(tmp_path, capsys, monkeypatch, tag
                      "--json", str(out)]) == 0
     capsys.readouterr()
     assert len(load_json(out)["results"]) == len(pipeline.ALGORITHMS)
-    # s1, s2, greedy and exact each check their own text once; combined is
-    # the s1 or s2 run, and under half so is s1
-    assert len(seen) == (3 if tag is SolverTag.CYCLE_COVER_HALF else 4)
+    # s1, s2, greedy and exact each run once, and combined is the s1 or s2
+    # run; each distinct text among them is searched for once
+    assert len(seen) == 4
+    assert sorted(checked) == sorted(set(seen))
 
 
 @pytest.mark.parametrize("command", [

@@ -261,6 +261,40 @@ def test_overlap_matrix_is_read_only(route):
         w[0, 0] = 1
 
 
+def table_type_strings(size):
+    """Three ACGT strings of ``size`` letters cut from one random text at
+    starts 200 letters apart, so each overlaps the next by ``size - 200``
+    letters where ``size`` exceeds 200, and one short string."""
+    rng = random.Random(size)
+    text = "".join(rng.choice("ACGT") for _ in range(size + 400))
+    return [text[:size], text[200:size + 200], text[400:size + 400], "GATTACA"]
+
+
+@pytest.mark.parametrize("size", [10, 9000])  # an int16 and an int32 matrix
+@pytest.mark.parametrize("route", ["index", "direct", "non-ascii"])
+def test_overlap_matrix_is_built_in_the_table_type(monkeypatch, size, route):
+    strings = table_type_strings(size)
+    if route == "non-ascii":
+        strings[-1] += "\u00e9"
+    letters = sum(map(len, strings))
+    # non-ASCII input takes the direct route however many letters it has
+    monkeypatch.setattr(graph, "_INDEX_LETTERS", letters + 1 if route == "direct" else 0)
+    assert (graph._head_hits(strings, strings, letters) is not None) == (route == "index")
+    w = overlap_matrix(strings).w
+    assert w.dtype == graph.int_table_type(max(map(len, strings)))[0]
+    assert w.dtype == (np.int16 if size < 8192 else np.int32)
+    reference = np.array([[overlap_len(u, v) for v in strings] for u in strings],
+                         dtype=np.int64)
+    assert (w == reference).all()
+    if size > 8192:
+        assert w[0, 1] == size - 200  # above the 8192 an int16 table holds
+
+
+def test_overlap_matrix_of_no_strings_is_refused():
+    with pytest.raises(ValueError, match="^weight matrix must be n x n with n >= 1$"):
+        overlap_matrix([])
+
+
 # ---------------------------------------------------------------- head index
 
 def scanned_first_containers(strings):

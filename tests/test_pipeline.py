@@ -291,14 +291,31 @@ def test_solve_combined_reduces_the_instance_once(monkeypatch):
     assert len(covers) == 1
 
 
+def record_checks(monkeypatch):
+    """The text of every search ``pipeline._solution`` makes, one per
+    distinct text per instance."""
+    checks, search = [], pipeline.first_occurrences
+
+    def recorded(text, strings):
+        checks.append(text)
+        return search(text, strings)
+
+    monkeypatch.setattr(pipeline, "first_occurrences", recorded)
+    return checks
+
+
 def test_solve_combined_under_half_reduces_once(monkeypatch):
-    # under half, s1 runs exactly what s2 runs: s2's run is relabelled
+    # under half, s1 and s2 run the same path solver over the same cached
+    # representatives: one reduction, one text, one check
     inst = inst_of(*TWO_CYCLES)
-    reductions = record_calls(monkeypatch, pipeline, "representatives")
+    built = record_calls(monkeypatch, graph, "representative")
+    checks = record_checks(monkeypatch)
     sol = solve_combined(inst, SolverTag.CYCLE_COVER_HALF)
-    assert len(reductions) == 1
-    s2 = solve_s2(inst)
-    assert sol == replace(s2, algorithm="combined(s1[half])")
+    assert len(built) == len(inst.cover.cycles) == 2
+    assert checks == [sol.text]
+    s1 = solve_s1(inst, SolverTag.CYCLE_COVER_HALF)
+    assert sol == replace(s1, algorithm="combined(s1[half])")
+    assert replace(solve_s2(inst), algorithm="s1[half]") == s1
 
 
 ORDERS = [pipeline.ALGORITHMS, pipeline.ALGORITHMS[::-1],
@@ -310,43 +327,53 @@ ORDERS = [pipeline.ALGORITHMS, pipeline.ALGORITHMS[::-1],
 @pytest.mark.parametrize("algos", ORDERS, ids=lambda algos: "-".join(algos))
 def test_solve_each_runs_each_solver_once(monkeypatch, tag, algos):
     inst = inst_of(*TWO_CYCLES)
-    half = tag is SolverTag.CYCLE_COVER_HALF
-    expected = {"s1": replace(solve_s2(inst), algorithm="s1[half]") if half
-                else solve_s1(inst, tag),
+    expected = {"s1": solve_s1(inst, tag),
                 "s2": solve_s2(inst),
                 "greedy": greedy_superstring(inst),
                 "exact": exact_superstring(inst)}
     expected["combined"] = pipeline.better_of(expected["s1"], expected["s2"])
-    reductions = record_calls(monkeypatch, pipeline, "representatives")
+    fresh = inst_of(*TWO_CYCLES)
+    built = record_calls(monkeypatch, graph, "representative")
+    checks = record_checks(monkeypatch)
     greedy = record_calls(monkeypatch, pipeline, "greedy_superstring")
     exact = record_calls(monkeypatch, pipeline, "exact_superstring")
-    rows = list(pipeline.solve_each(inst, algos, tag))
+    rows = list(pipeline.solve_each(fresh, algos, tag))
     assert [algo for algo, _, _ in rows] == list(algos)
-    assert (len(reductions), len(greedy), len(exact)) == (1 if half else 2, 1, 1)
+    assert (len(built), len(greedy), len(exact)) == (len(fresh.cover.cycles), 1, 1)
     sols = {algo: sol for algo, sol, _ in rows}
     ms = {algo: t for algo, _, t in rows}
     assert sols == expected
-    assert ms["combined"] == (ms["s2"] if half else ms["s1"] + ms["s2"])
-    if half:
-        assert ms["s1"] == ms["s2"]
-    reductions.clear()
-    assert solve_combined(inst, tag) == sols["combined"]
-    assert len(reductions) == (1 if half else 2)
+    assert sorted(checks) == sorted({sol.text for sol in sols.values()})
+    assert ms["combined"] == ms["s1"] + ms["s2"]
+    built.clear()
+    checks.clear()
+    assert solve_combined(fresh, tag) == sols["combined"]
+    assert built == checks == []  # the instance keeps its reduction and checks
 
 
 @pytest.mark.parametrize("tag", list(SolverTag), ids=lambda tag: tag.value)
 def test_solve_each_runs_only_what_is_asked(monkeypatch, tag):
     inst = inst_of(*TWO_CYCLES)
-    reductions = record_calls(monkeypatch, pipeline, "representatives")
+    built = record_calls(monkeypatch, graph, "representative")
     exact = record_calls(monkeypatch, pipeline, "exact_superstring")
     rows = pipeline.solve_each(inst, ("s2", "greedy", "s1"), tag)
-    assert reductions == []  # nothing runs before its row is asked for
-    assert next(rows)[0] == "s2" and len(reductions) == 1
+    assert built == []  # nothing runs before its row is asked for
+    assert next(rows)[0] == "s2" and len(built) == len(inst.cover.cycles)
     assert [algo for algo, _, _ in rows] == ["greedy", "s1"]
-    assert len(reductions) == (1 if tag is SolverTag.CYCLE_COVER_HALF else 2)
+    assert len(built) == len(inst.cover.cycles)  # s1 reads s2's representatives
     assert exact == []
     with pytest.raises(ValueError, match="unknown algorithm 'best'"):
         list(pipeline.solve_each(inst, ("best",), tag))
+
+
+@given(greedy_instances())
+@settings(max_examples=200, deadline=None)
+def test_s1_under_half_is_s2_property(inst):
+    rows = {algo: sol for algo, sol, _ in pipeline.solve_each(
+        inst, ("s1", "s2"), SolverTag.CYCLE_COVER_HALF)}
+    s1, s2 = rows["s1"], rows["s2"]
+    assert (s1.algorithm, s2.algorithm) == ("s1[half]", "s2")
+    assert (s1.text, s1.order, s1.total_overlap) == (s2.text, s2.order, s2.total_overlap)
 
 
 def test_compare_reduces_the_instance_once(tmp_path, monkeypatch, capsys):
@@ -458,19 +485,27 @@ def test_pipeline_cycle_fuzz_reads_the_matrix_solve_s1_reads(monkeypatch):
 
 
 def test_half_path_solver_reduces_the_instance_once(tmp_path, monkeypatch, capsys):
-    # under half, s1 runs exactly what s2 runs: its row is s2's run relabelled
+    # under half, s1 runs what s2 runs, over the same representatives
     path, out = tmp_path / "inst.txt", tmp_path / "c.json"
     path.write_text("\n".join(TWO_CYCLES) + "\n", encoding="utf-8")
-    reductions = record_calls(monkeypatch, pipeline, "representatives")
+    texts = {sol.text for _, sol, _ in pipeline.solve_each(
+        inst_of(*TWO_CYCLES), pipeline.ALGORITHMS, SolverTag.CYCLE_COVER_HALF)}
+    built = record_calls(monkeypatch, graph, "representative")
+    checks = record_checks(monkeypatch)
     assert cli.main(["compare", str(path), "--path-solver", "half",
                      "--json", str(out)]) == 0
-    assert len(reductions) == 1
+    [inst] = {id(inst): inst for inst in built}.values()
+    assert len(built) == len(inst.cover.cycles)
     rows = {r.pop("algo"): r for r in json.loads(out.read_text())["results"]}
-    assert rows["s1"] == rows["s2"] == rows["combined"]  # ms counted once
+    for row in rows.values():
+        del row["ms"]
+    assert rows["s1"] == rows["s2"] == rows["combined"]
+    assert sorted(checks) == sorted(texts)  # each distinct text, once
     capsys.readouterr()
-    reductions.clear()
+    built.clear()
+    checks.clear()
     assert cli.main(["solve", str(path), "--path-solver", "half"]) == 0
-    assert len(reductions) == 1
+    assert len(built) == len(inst.cover.cycles) and len(checks) == 1
     assert "algorithm: combined(s1[half])" in capsys.readouterr().out.splitlines()
 
 
